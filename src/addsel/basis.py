@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,11 +109,26 @@ def build_design_block(xcol, m: int, centered: bool, empirical_center: bool = Fa
     return B / np.sqrt(n)
 
 
+def block_slices(dims):
+    """Column slice of each block in the concatenation of blocks of the given widths."""
+    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    return [slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:])]
+
+
+def block_columns(slices, J) -> np.ndarray:
+    """Column indices of the blocks in J, in ascending j, under the given slices."""
+    if not J:
+        return np.zeros(0, dtype=int)
+    return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in sorted(J)])
+
+
 @dataclass
 class DesignBlocks:
     """Per-covariate scaled design matrices A_j, concatenated in ascending j."""
 
     blocks: list
+    _full_gram: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     @property
     def n(self) -> int:
@@ -133,9 +148,21 @@ class DesignBlocks:
             return np.empty((self.n, 0))
         return np.concatenate([self.blocks[j] for j in J], axis=1)
 
+    def slices(self):
+        """Column slice of each block A_j in the full concatenation."""
+        return block_slices(self.dims())
+
+    def full_gram(self) -> np.ndarray:
+        """A^T A over all q blocks, formed on first use and kept."""
+        if self._full_gram is None:
+            A = self.concat(range(self.q))
+            self._full_gram = A.T @ A
+        return self._full_gram
+
     def gram(self, J) -> np.ndarray:
-        A = self.concat(J)
-        return A.T @ A
+        """A_J^T A_J, read off the full Gram."""
+        c = block_columns(self.slices(), J)
+        return self.full_gram()[np.ix_(c, c)]
 
 
 def build_design_blocks(X, spec: BasisSpec, empirical_center: bool = False) -> DesignBlocks:
@@ -174,9 +201,7 @@ def _marginal_means(spec, density, j):
 
 
 def _cross_block_gram(spec, density, j1, j2):
-    if density.independent:
-        return np.outer(_marginal_means(spec, density, j1),
-                        _marginal_means(spec, density, j2))
+    """Cross Gram of V_j1 and V_j2 under the pairwise joint density."""
     t = _quad_nodes(QUAD_NODES_2D)
     W = density.pair_pdf(j1, j2, t, t) / (QUAD_NODES_2D ** 2)
     B1 = basis_matrix(spec.basis_indices(j1), t)
@@ -193,21 +218,22 @@ def population_gram(spec: BasisSpec, density: Density, J) -> np.ndarray:
     dims = [spec.dim(j) for j in J]
     d = sum(dims)
     G = np.zeros((d, d))
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    sl = block_slices(dims)
+    # independent covariates: cross blocks are outer products of marginal means
+    means = [_marginal_means(spec, density, j) for j in J] if density.independent else None
     for a, j1 in enumerate(J):
-        G[offs[a]:offs[a + 1], offs[a]:offs[a + 1]] = _marginal_block_gram(spec, density, j1)
+        G[sl[a], sl[a]] = _marginal_block_gram(spec, density, j1)
         for b in range(a + 1, len(J)):
-            j2 = J[b]
-            C = _cross_block_gram(spec, density, j1, j2)
-            G[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = C
-            G[offs[b]:offs[b + 1], offs[a]:offs[a + 1]] = C.T
+            if means is not None:
+                C = np.outer(means[a], means[b])
+            else:
+                C = _cross_block_gram(spec, density, j1, J[b])
+            G[sl[a], sl[b]] = C
+            G[sl[b], sl[a]] = C.T
     return 0.5 * (G + G.T)
 
 
 def full_block_gram(spec: BasisSpec, density: Density):
     """Gram of V_{1..q} plus the per-covariate column slices into it."""
     G = population_gram(spec, density, range(spec.q))
-    dims = [spec.dim(j) for j in range(spec.q)]
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    slices = [slice(int(offs[j]), int(offs[j + 1])) for j in range(spec.q)]
-    return G, slices
+    return G, block_slices([spec.dim(j) for j in range(spec.q)])

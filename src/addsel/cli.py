@@ -11,12 +11,11 @@ import sys
 import numpy as np
 
 from . import diagnostics, geometry
-from .basis import BasisSpec, build_design_blocks
+from .basis import BasisSpec, build_design_blocks, full_block_gram
 from .config import load_config
 from .errors import AddselError, ConfigError
 from .estimate import rate_experiment
-from .selection import Dataset
-from .simulate import DesignLaw, gen_model, gen_response, make_density, run_trials
+from .simulate import DesignLaw, gen_model, make_density, run_trials
 
 ARTIFACT_VERSION = 1
 
@@ -101,18 +100,20 @@ def cmd_diagnose(args, cfg, emit):
     spec = BasisSpec.create(cfg["q"], _fixed_m(cfg), centered=True)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
     X = density.sample(cfg["n"], cfg["q"], rng)
-    Y = gen_response(model, X, rng)
-    dataset = Dataset(X, Y)
     blocks = build_design_blocks(X, spec)
     qstar = cfg["qstar"]
     subsets = None
     if geometry.count_subsets_up_to(cfg["q"], qstar) > 20000:
         subsets = diagnostics.sample_subsets(cfg["q"], qstar, 2000, seed=cfg["seed"])
     delta_hat = diagnostics.rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
-    rho = 0.0 if density.independent else geometry.rho_qstar(spec, density, qstar)
+    G_pop, slices = full_block_gram(spec, density)
+    if density.independent and density.uniform_marginals:
+        rho = 0.0
+    else:
+        rho = geometry.rho_from_gram(G_pop, slices, qstar)
     kappa, kappa_l = geometry.kappa_values(model, density)
-    holds_E, max_dev = diagnostics.event_E_check(
-        dataset, spec, density, qstar, model.J0, cfg["delta"], subsets=subsets)
+    holds_E, max_dev = diagnostics.event_E_from_grams(
+        blocks.full_gram(), G_pop, slices, qstar, model.J0, cfg["delta"], subsets=subsets)
     holds_A = diagnostics.event_A_check(X, model, spec, density, rho, kappa,
                                         cfg["cprime"])
     d_l = [spec.d_l(l) for l in range(1, qstar + 1)]

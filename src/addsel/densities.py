@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError
 
@@ -19,6 +19,9 @@ class Density:
     """Base class: independent uniform marginals unless overridden."""
 
     independent = True
+    #: every marginal is Uniform[0,1]; with ``independent`` the centered trig
+    #: blocks are then orthogonal, so rho = 0
+    uniform_marginals = True
     #: lower bound c with c <= p_j <= 1/c for all marginals
     c = 1.0
 
@@ -51,6 +54,7 @@ class GaussianCopulaDensity(Density):
     r: float
 
     independent = False
+    uniform_marginals = True
     c = 1.0
 
     def __post_init__(self):
@@ -68,8 +72,8 @@ class GaussianCopulaDensity(Density):
         cache = getattr(self, "_pair_cache", None)
         if cache is not None and cache[0] == key:
             return cache[1]
-        z = norm.ppf(np.asarray(u, dtype=float))
-        w = norm.ppf(np.asarray(v, dtype=float))
+        z = ndtri(np.asarray(u, dtype=float))
+        w = ndtri(np.asarray(v, dtype=float))
         zz, ww = np.meshgrid(z, w, indexing="ij")
         expo = -(r * r * (zz * zz + ww * ww) - 2.0 * r * zz * ww) / (2.0 * (1.0 - r * r))
         out = np.exp(expo) / np.sqrt(1.0 - r * r)
@@ -89,7 +93,7 @@ class GaussianCopulaDensity(Density):
             )
         L = np.linalg.cholesky(cov + 1e-12 * np.eye(q))
         z = rng.standard_normal((n, q)) @ L.T
-        return norm.cdf(z)
+        return ndtr(z)
 
 
 @dataclass
@@ -103,6 +107,7 @@ class TableDensity(Density):
     tables: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.uniform_marginals = not self.tables
         self._grids = {}
         cs = [1.0]
         for j, vals in self.tables.items():

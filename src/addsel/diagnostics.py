@@ -2,36 +2,21 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from math import comb, exp, log, sqrt
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, full_block_gram
+from .basis import BasisSpec, DesignBlocks, basis_matrix, block_columns, \
+    build_design_blocks, full_block_gram
 from .densities import Density
 from .errors import AssumptionError, BudgetError
-from .geometry import _inv_sqrt, count_subsets_up_to, subsets_up_to
+from .geometry import DEFAULT_BUDGET, EIG_FLOOR, count_subsets_up_to, \
+    singular_gram_error, subsets_up_to
 
-DEFAULT_BUDGET = 10 ** 6
-
-
-@dataclass
-class DiagnosticsReport:
-    delta_qstar: float = float("nan")
-    event_E_holds: dict = field(default_factory=dict)
-    event_A_holds: bool | None = None
-    bound_terms: dict = field(default_factory=dict)
-    conditions: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "delta_qstar": self.delta_qstar,
-            "event_E_holds": {str(k): v for k, v in self.event_E_holds.items()},
-            "event_A_holds": self.event_A_holds,
-            "bound_terms": self.bound_terms,
-            "conditions": self.conditions,
-        }
+#: most principal submatrices stacked into one batched eigenvalue call; the
+#: stack and its LAPACK workspace stay a few MB instead of growing with the
+#: number of unions
+EIG_CHUNK = 256
 
 
 def _union_collection(q, qstar, J0, subsets=None, budget=DEFAULT_BUDGET):
@@ -67,6 +52,35 @@ def sample_subsets(q, qstar, n_samples, seed=0):
     return sorted(set(out))
 
 
+def _union_chunks(slices, qstar, J0, subsets, budget):
+    """Unions J u J0 grouped by column count, in chunks of at most EIG_CHUNK.
+
+    Yields (members, cols): members are (position in enumeration order,
+    union) pairs, ascending within the chunk; cols is the (k, d) array of
+    their column indices.
+    """
+    groups = {}
+    for pos, union in enumerate(_union_collection(len(slices), qstar, J0, subsets, budget)):
+        c = block_columns(slices, union)
+        if len(c):
+            groups.setdefault(len(c), []).append((pos, union, c))
+    for d in sorted(groups):
+        members = groups[d]
+        for start in range(0, len(members), EIG_CHUNK):
+            chunk = members[start:start + EIG_CHUNK]
+            yield [(pos, union) for pos, union, _ in chunk], np.array([c for *_, c in chunk])
+
+
+def _stacked(G, cols):
+    """The principal submatrices G[c, c] for each row c of cols, stacked."""
+    return G[cols[:, :, None], cols[:, None, :]]
+
+
+def _max_deviation(w):
+    """max over a stack of ascending eigenvalue rows of max(w_max - 1, 1 - w_min)."""
+    return float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])))
+
+
 def rip_constant(blocks: DesignBlocks, qstar: int, J0=(), subsets=None,
                  budget=DEFAULT_BUDGET) -> float:
     """max over |J| <= qstar of the operator norm of A_{J u J0}^T A_{J u J0} - I.
@@ -74,60 +88,38 @@ def rip_constant(blocks: DesignBlocks, qstar: int, J0=(), subsets=None,
     With an explicit ``subsets`` collection the result is the maximum over
     that collection only (a lower bound of the full constant).
     """
+    G = blocks.full_gram()
     delta = 0.0
-    for union in _union_collection(blocks.q, qstar, J0, subsets, budget):
-        G = blocks.gram(union)
-        w = np.linalg.eigvalsh(G)
-        delta = max(delta, float(max(w[-1] - 1.0, 1.0 - w[0])))
+    for _, cols in _union_chunks(blocks.slices(), qstar, J0, subsets, budget):
+        delta = max(delta, _max_deviation(np.linalg.eigvalsh(_stacked(G, cols))))
     return delta
-
-
-def rip_constant_greedy(blocks: DesignBlocks, qstar: int, seed=0, restarts=8,
-                        n_samples=2000) -> float:
-    """Heuristic lower bound on the RIP constant via sampling plus swap ascent.
-
-    Used when full enumeration is infeasible; the true constant is >= this.
-    """
-    q = blocks.q
-    rng = np.random.default_rng(seed)
-
-    def dev(J):
-        w = np.linalg.eigvalsh(blocks.gram(J))
-        return float(max(w[-1] - 1.0, 1.0 - w[0]))
-
-    best = rip_constant(blocks, qstar,
-                        subsets=sample_subsets(q, qstar, n_samples, seed=seed))
-    for _ in range(restarts):
-        J = list(rng.choice(q, size=qstar, replace=False))
-        cur = dev(tuple(J))
-        improved = True
-        while improved:
-            improved = False
-            for pos in range(len(J)):
-                for j in range(q):
-                    if j in J:
-                        continue
-                    cand = J.copy()
-                    cand[pos] = j
-                    v = dev(tuple(sorted(cand)))
-                    if v > cur:
-                        cur, J = v, sorted(cand)
-                        improved = True
-        best = max(best, cur)
-    return best
 
 
 def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float,
                        subsets=None, budget=DEFAULT_BUDGET):
     """(holds, max_deviation): whether all normalized empirical Grams on
-    V_{J u J0} have eigenvalues in [1-delta, 1+delta]."""
-    q = len(slices)
+    V_{J u J0} have eigenvalues in [1-delta, 1+delta].
+
+    Raises SingularBlockError for the first union, in enumeration order,
+    whose population Gram has an eigenvalue at or below EIG_FLOOR.
+    """
     worst = 0.0
-    for union in _union_collection(q, qstar, J0, subsets, budget):
-        c = np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in union])
-        W = _inv_sqrt(G_pop[np.ix_(c, c)], f"population Gram on {union}")
-        w = np.linalg.eigvalsh(W @ G_emp[np.ix_(c, c)] @ W)
-        worst = max(worst, float(max(w[-1] - 1.0, 1.0 - w[0])))
+    singular = None  # (position, union, min eigenvalue) of the first singular union
+    for members, cols in _union_chunks(slices, qstar, J0, subsets, budget):
+        P = _stacked(G_pop, cols)
+        w, V = np.linalg.eigh(0.5 * (P + P.transpose(0, 2, 1)))
+        bad = np.flatnonzero(w[:, 0] <= EIG_FLOOR)
+        if len(bad):
+            pos, union = members[bad[0]]
+            if singular is None or pos < singular[0]:
+                singular = (pos, union, w[bad[0], 0])
+        if singular is not None:
+            continue  # the call raises; the remaining deviations are not needed
+        W = (V * w[:, None, :] ** -0.5) @ V.transpose(0, 2, 1)
+        worst = max(worst, _max_deviation(np.linalg.eigvalsh(W @ _stacked(G_emp, cols) @ W)))
+    if singular is not None:
+        _, union, min_eig = singular
+        raise singular_gram_error(f"population Gram on {union}", min_eig)
     return worst <= delta, worst
 
 
@@ -135,9 +127,7 @@ def event_E_check(dataset, spec: BasisSpec, density: Density, qstar: int, J0,
                   delta: float, subsets=None, budget=DEFAULT_BUDGET):
     """(holds, max_deviation): uniform two-sided norm equivalence over all
     candidate additive subspaces."""
-    blocks = build_design_blocks(dataset.X, spec)
-    A = blocks.concat(range(spec.q))
-    G_emp = A.T @ A
+    G_emp = build_design_blocks(dataset.X, spec).full_gram()
     G_pop, slices = full_block_gram(spec, density)
     return event_E_from_grams(G_emp, G_pop, slices, qstar, J0, delta,
                               subsets, budget)

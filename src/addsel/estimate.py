@@ -10,10 +10,8 @@ import numpy as np
 from .basis import QUAD_NODES_1D, BasisSpec, basis_matrix, build_design_blocks
 from .densities import Density, UniformDensity
 from .errors import AddselError
-from .selection import Dataset, select_exhaustive
+from .selection import RANK_RTOL, Dataset, select_exhaustive
 from .simulate import AdditiveModel, DesignLaw, gen_model, gen_response, make_density
-
-RANK_RTOL = 1e-10
 
 
 @dataclass

@@ -8,7 +8,7 @@ from math import ceil, comb, log2
 
 import numpy as np
 
-from .basis import BasisSpec, full_block_gram, basis_matrix, population_gram
+from .basis import BasisSpec, basis_matrix, block_columns, full_block_gram, population_gram
 from .densities import Density
 from .errors import AssumptionError, BudgetError, SingularBlockError
 
@@ -43,15 +43,20 @@ class GeometryReport:
         }
 
 
+def singular_gram_error(label, min_eigenvalue) -> SingularBlockError:
+    """The error for a Gram whose smallest eigenvalue is at or below EIG_FLOOR."""
+    return SingularBlockError(
+        f"Gram {label} is numerically singular (min eigenvalue {min_eigenvalue:.3e})",
+        block=label, min_eigenvalue=float(min_eigenvalue),
+    )
+
+
 def _inv_sqrt(G, label="block"):
     """Symmetric inverse square root; refuses eigenvalues below the floor."""
     G = np.asarray(G, dtype=float)
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     if w[0] <= EIG_FLOOR:
-        raise SingularBlockError(
-            f"Gram {label} is numerically singular (min eigenvalue {w[0]:.3e})",
-            block=label, min_eigenvalue=float(w[0]),
-        )
+        raise singular_gram_error(label, w[0])
     return (V * w ** -0.5) @ V.T
 
 
@@ -80,12 +85,6 @@ def count_subsets_up_to(q, size, include_empty=False):
     return sum(comb(q, r) for r in range(0 if include_empty else 1, size + 1))
 
 
-def _cols(slices, J):
-    if not J:
-        return np.array([], dtype=int)
-    return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in sorted(J)])
-
-
 def count_disjoint_pairs(q, qstar):
     total = 0
     for r1 in range(1, qstar + 1):
@@ -107,12 +106,12 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
     rho = 0.0
     subs = list(subsets_up_to(q, qstar))
     for i, J1 in enumerate(subs):
-        c1 = _cols(slices, J1)
+        c1 = block_columns(slices, J1)
         G11 = G[np.ix_(c1, c1)]
         for J2 in subs[i + 1:]:
             if set(J1) & set(J2):
                 continue
-            c2 = _cols(slices, J2)
+            c2 = block_columns(slices, J2)
             rho = max(rho, min_angle_cos(G11, G[np.ix_(c2, c2)], G[np.ix_(c1, c2)]))
     return rho
 
@@ -125,7 +124,7 @@ def rho_qstar(spec: BasisSpec, density: Density, qstar: int,
 
 def _normalized_eig_range(G, slices, J):
     """(lambda_min, lambda_max) of D_J^{-1/2} G_J D_J^{-1/2}."""
-    c = _cols(slices, J)
+    c = block_columns(slices, J)
     GJ = G[np.ix_(c, c)]
     W = np.zeros_like(GJ)
     off = 0
@@ -214,7 +213,7 @@ def population_projection_gap(G, slices, J, J0, coef):
     """
     coef = np.asarray(coef, dtype=float)
     total = float(coef @ G @ coef)
-    c = _cols(slices, J)
+    c = block_columns(slices, J)
     if len(c) == 0:
         return total
     GJJ = G[np.ix_(c, c)]

@@ -243,7 +243,8 @@ def run_trials(cfg: dict):
                     table=cfg.get("design.table"))
     density = make_density(law, cfg["q"])
     rho = eps_prime = 0.0
-    if cfg.get("m_rule") == "eq7" and not density.independent:
+    if cfg.get("m_rule") == "eq7" and not (density.independent
+                                           and density.uniform_marginals):
         probe = BasisSpec.create(cfg["q"], 6, centered=True)
         rho = rho_qstar(probe, density, cfg["qstar"])
         _, eps_prime = epsilon_constants(probe, density, cfg["qstar"])

@@ -122,3 +122,31 @@ def test_table_density_gram_matches_quadrature():
 def test_table_density_must_normalize():
     with pytest.raises(ConfigError):
         TableDensity(tables={0: np.full(64, 1.3)})
+
+
+@pytest.mark.parametrize("density", [
+    UniformDensity(),
+    TableDensity(tables={j: 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+                         for j in (0, 2)}),
+])
+def test_population_gram_independent_means_once(density, monkeypatch):
+    # cross blocks of independent covariates are outer products of the
+    # marginal means; each block's means are computed once, not per pair
+    from addsel import basis
+    spec = BasisSpec.create(4, (5, 3, 6, 4))
+    expected = np.zeros((14, 14))
+    sl = basis.block_slices([spec.dim(j) for j in range(4)])
+    for a in range(4):
+        expected[sl[a], sl[a]] = basis._marginal_block_gram(spec, density, a)
+        for b in range(a + 1, 4):
+            C = np.outer(basis._marginal_means(spec, density, a),
+                         basis._marginal_means(spec, density, b))
+            expected[sl[a], sl[b]] = C
+            expected[sl[b], sl[a]] = C.T
+    expected = 0.5 * (expected + expected.T)
+    calls = []
+    original = basis._marginal_means
+    monkeypatch.setattr(basis, "_marginal_means",
+                        lambda spec, density, j: calls.append(j) or original(spec, density, j))
+    assert np.array_equal(population_gram(spec, density, range(4)), expected)
+    assert calls == [0, 1, 2, 3]

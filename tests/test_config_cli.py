@@ -145,3 +145,23 @@ def test_cli_bad_log_level(tmp_path, monkeypatch):
     monkeypatch.setenv("ADDSEL_LOG", "loud")
     cfg = _write(tmp_path, SMALL)
     assert main(["geometry", "--config", cfg]) == 2
+
+
+TABLE = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+
+
+def test_cli_diagnose_custom_density_uses_population_rho(tmp_path):
+    # independent but non-uniform marginals: the centered trig blocks are not
+    # mean-zero, so rho is not 0 and must come from the population Gram
+    from addsel import BasisSpec, rho_qstar
+    from addsel.simulate import DesignLaw, make_density
+    text = ("design.kind = custom-density\n"
+            f"design.table = {', '.join(repr(float(v)) for v in TABLE)}\n"
+            "n = 200\nq = 4\ns = 2\nqstar = 2\nm_rule = fixed:5\nseed = 3\n")
+    out = str(tmp_path / "diag.jsonl")
+    assert main(["diagnose", "--config", _write(tmp_path, text), "--out", out]) == 0
+    _, report = _lines(out)
+    density = make_density(DesignLaw("custom-density", table=parse_config(text)["design.table"]), 4)
+    expected = rho_qstar(BasisSpec.create(4, 5), density, 2)
+    assert report["rho"] == expected
+    assert abs(expected - 0.5517) < 1e-3

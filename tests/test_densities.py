@@ -66,3 +66,29 @@ def test_table_density_untouched_covariates_uniform():
     t = np.linspace(0.0, 1.0, 11)
     npt.assert_allclose(dens.marginal_pdf(3, t), 1.0)
     assert dens.c == 1.0
+
+
+def test_copula_matches_scipy_stats_norm_bitwise():
+    # ndtri/ndtr are the kernels behind norm.ppf/norm.cdf: same bits
+    dens = GaussianCopulaDensity(r=0.35)
+    X = dens.sample(20000, 5, np.random.default_rng(8))
+    cov = np.full((5, 5), 0.35)
+    np.fill_diagonal(cov, 1.0)
+    L = np.linalg.cholesky(cov + 1e-12 * np.eye(5))
+    expected = norm.cdf(np.random.default_rng(8).standard_normal((20000, 5)) @ L.T)
+    assert np.array_equal(X, expected)
+    t = (np.arange(512) + 0.5) / 512
+    z = norm.ppf(t)
+    zz, ww = np.meshgrid(z, z, indexing="ij")
+    r = 0.35
+    pdf = np.exp(-(r * r * (zz * zz + ww * ww) - 2.0 * r * zz * ww)
+                 / (2.0 * (1.0 - r * r))) / np.sqrt(1.0 - r * r)
+    assert np.array_equal(dens.pair_pdf(0, 1, t, t), pdf)
+
+
+def test_uniform_marginals_declared():
+    table = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    assert UniformDensity().uniform_marginals
+    assert GaussianCopulaDensity(r=0.5).uniform_marginals
+    assert TableDensity(tables={}).uniform_marginals
+    assert not TableDensity(tables={2: table}).uniform_marginals

@@ -8,8 +8,10 @@ from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset,
                     event_E_check, rip_constant, sample_subsets,
                     selection_error_bound, subset_count_bound,
                     truncation_residual_norm_sq)
-from addsel.basis import build_design_blocks
-from addsel.diagnostics import _union_collection
+from addsel.basis import block_slices, build_design_blocks
+from addsel.diagnostics import EIG_CHUNK, _union_collection, event_E_from_grams
+from addsel.errors import SingularBlockError
+from addsel.geometry import _inv_sqrt
 from addsel.simulate import AdditiveModel, gen_design, DesignLaw
 
 
@@ -181,3 +183,76 @@ def test_corollary_conditions_scale_with_n():
     assert not all(tiny.values())
     assert all(big.values())
     assert set(big) == {"corollary2", "corollary3", "condition14", "nonparametric18"}
+
+
+def _rip_per_union(blocks, qstar, J0=()):
+    """RIP constant from one Gram and one eigvalsh per union."""
+    delta = 0.0
+    for union in _union_collection(blocks.q, qstar, J0):
+        A = blocks.concat(union)
+        w = np.linalg.eigvalsh(A.T @ A)
+        delta = max(delta, float(max(w[-1] - 1.0, 1.0 - w[0])))
+    return delta
+
+
+def _event_E_per_union(G_emp, G_pop, slices, qstar, J0):
+    """Event-E deviation from one whitening and one eigvalsh per union."""
+    worst = 0.0
+    for union in _union_collection(len(slices), qstar, J0):
+        c = np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in union])
+        W = _inv_sqrt(G_pop[np.ix_(c, c)], f"population Gram on {union}")
+        w = np.linalg.eigvalsh(W @ G_emp[np.ix_(c, c)] @ W)
+        worst = max(worst, float(max(w[-1] - 1.0, 1.0 - w[0])))
+    return worst
+
+
+def _random_pop_gram(dims, rng, r=0.3):
+    """Block Gram with unit-ish diagonal blocks and cross coupling r."""
+    D = sum(dims)
+    F = rng.standard_normal((4 * D, D))
+    F += r * F[:, :1]
+    return F.T @ F / (4 * D)
+
+
+def test_batched_rip_and_event_E_match_per_union_loop():
+    # C(14, 3) = 364 unions of three 3-column blocks: two chunks of one size
+    assert 364 > EIG_CHUNK
+    rng = np.random.default_rng(21)
+    spec = BasisSpec.create(14, 4)
+    blocks = build_design_blocks(rng.random((90, 14)), spec)
+    npt.assert_allclose(rip_constant(blocks, 3), _rip_per_union(blocks, 3),
+                        rtol=0.0, atol=1e-12)
+    npt.assert_allclose(rip_constant(blocks, 2, J0=(1, 5)),
+                        _rip_per_union(blocks, 2, J0=(1, 5)), rtol=0.0, atol=1e-12)
+    mixed = build_design_blocks(rng.random((90, 6)), BasisSpec.create(6, (3, 5, 4, 6, 4, 2)))
+    npt.assert_allclose(rip_constant(mixed, 3, J0=(2,)), _rip_per_union(mixed, 3, J0=(2,)),
+                        rtol=0.0, atol=1e-12)
+    G_emp = blocks.concat(range(14)).T @ blocks.concat(range(14))
+    slices = block_slices(blocks.dims())
+    G_pop = _random_pop_gram(blocks.dims(), rng)
+    for qstar, J0 in ((3, ()), (2, (0, 13))):
+        ref = _event_E_per_union(G_emp, G_pop, slices, qstar, J0)
+        holds, dev = event_E_from_grams(G_emp, G_pop, slices, qstar, J0, ref)
+        npt.assert_allclose(dev, ref, rtol=0.0, atol=1e-12)
+        assert holds == (dev <= ref)
+
+
+def test_event_E_singular_population_gram_names_first_union():
+    # blocks 0, 1 (6 columns) and 3, 4 (2 columns) are duplicated; (0, 1)
+    # comes first in enumeration order although its 12-column group is
+    # batched after the 4-column group holding (3, 4)
+    rng = np.random.default_rng(22)
+    dims = [6, 6, 2, 2, 2]
+    slices = block_slices(dims)
+    F = rng.standard_normal((80, sum(dims)))
+    F[:, slices[1]] = F[:, slices[0]]
+    F[:, slices[4]] = F[:, slices[3]]
+    G_pop = F.T @ F / 80
+    G_emp = _random_pop_gram(dims, rng)
+    with pytest.raises(SingularBlockError) as ref:
+        _event_E_per_union(G_emp, G_pop, slices, 2, ())
+    with pytest.raises(SingularBlockError) as got:
+        event_E_from_grams(G_emp, G_pop, slices, 2, (), 0.5)
+    assert "(0, 1)" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert got.value.block == ref.value.block

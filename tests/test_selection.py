@@ -3,9 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from addsel import (AddselError, BasisSpec, BudgetError, Dataset,
-                    empirical_projection_gap, project, project_norm_sq,
-                    select_exhaustive, select_greedy)
-from addsel.basis import build_design_blocks
+                    GaussianCopulaDensity, UniformDensity, empirical_projection_gap,
+                    project, project_norm_sq, select_exhaustive, select_greedy)
+from addsel import selection
+from addsel.basis import DesignBlocks, build_design_blocks
+from addsel.geometry import subsets_up_to
+from addsel.selection import CHOL_PIVOT_RATIO, _better, _SubsetScorer
 
 
 def test_dataset_validation():
@@ -111,3 +114,102 @@ def test_empirical_projection_gap_noiseless():
     npt.assert_allclose(gap, 0.0, atol=1e-12)
     gap_bad = empirical_projection_gap(ds, spec, (0,), (1, 3), f)
     assert gap_bad > 0.5
+
+
+def _reference(ds, spec, qstar, sigma2):
+    """Criterion dict and argmax from one SVD projection per subset."""
+    blocks = build_design_blocks(ds.X, spec)
+    crit = {(): 0.0}
+    best = (0.0, ())
+    for J in subsets_up_to(spec.q, qstar):
+        crit[J] = project_norm_sq(blocks.concat(J), ds.Y) - sigma2 * spec.d_J(J) / ds.n
+        if _better((crit[J], J), best):
+            best = (crit[J], J)
+    return crit, best[1]
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    original = selection.project_norm_sq
+
+    def counted(A_J, Y):
+        calls.append(A_J.shape[1])
+        return original(A_J, Y)
+
+    monkeypatch.setattr(selection, "project_norm_sq", counted)
+    return calls
+
+
+def _assert_matches_reference(ds, spec, qstar, sigma2):
+    crit, chosen = _reference(ds, spec, qstar, sigma2)
+    res = select_exhaustive(ds, spec, qstar, sigma2)
+    assert res.criterion.keys() == crit.keys()
+    npt.assert_allclose([res.criterion[J] for J in crit], list(crit.values()),
+                        rtol=0.0, atol=1e-12)
+    assert res.chosen == chosen
+    greedy = select_greedy(ds, spec, qstar, sigma2)
+    npt.assert_allclose([greedy.criterion[J] for J in greedy.criterion],
+                        [crit[J] for J in greedy.criterion], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("law", ["uniform", "copula"])
+def test_gram_scorer_matches_svd_reference(law, monkeypatch):
+    rng = np.random.default_rng(11)
+    density = UniformDensity() if law == "uniform" else GaussianCopulaDensity(r=0.6)
+    X = density.sample(150, 6, rng)
+    f = np.sqrt(2) * np.cos(2 * np.pi * X[:, 1]) + np.sqrt(2) * np.sin(2 * np.pi * X[:, 4])
+    ds = Dataset(X, f + 0.4 * rng.standard_normal(150))
+    calls = _count_fallbacks(monkeypatch)
+    _assert_matches_reference(ds, BasisSpec.create(6, 5), 3, 0.16)
+    assert calls == []  # no subset took the SVD path
+
+
+def test_gram_scorer_falls_back_on_collinear_blocks(monkeypatch):
+    # covariates 0 and 2 are identical, so every J holding both is singular;
+    # the signal sits on 1 and 3, away from the exact ties J u {0} = J u {2}
+    rng = np.random.default_rng(12)
+    X = rng.random((120, 4))
+    X[:, 2] = X[:, 0]
+    f = np.sqrt(2) * np.cos(2 * np.pi * X[:, 1]) + np.sqrt(2) * np.sin(2 * np.pi * X[:, 3])
+    ds = Dataset(X, f + 0.3 * rng.standard_normal(120))
+    spec = BasisSpec.create(4, 4)
+    calls = _count_fallbacks(monkeypatch)
+    select_exhaustive(ds, spec, 2, 0.09)
+    assert calls == [6]  # only J = (0, 2), by the SVD path
+    calls.clear()
+    _assert_matches_reference(ds, spec, 2, 0.09)
+
+
+def test_gram_scorer_falls_back_when_d_J_exceeds_n(monkeypatch):
+    # n = 30 rows against 35 columns per block: every J takes the SVD path
+    rng = np.random.default_rng(13)
+    X = rng.random((30, 3))
+    ds = Dataset(X, rng.standard_normal(30))
+    spec = BasisSpec.create(3, 36)
+    calls = _count_fallbacks(monkeypatch)
+    res = select_exhaustive(ds, spec, 2, 0.5)
+    assert sorted(calls) == [35] * 3 + [70] * 3
+    crit, chosen = _reference(ds, spec, 2, 0.5)
+    assert res.criterion == crit and res.chosen == chosen
+
+
+def test_cholesky_pivot_ratio_keeps_fast_path_within_1e_12(monkeypatch):
+    # [DERIVED] the normal-equation error grows like kappa(A)^2 eps; with Y
+    # along the weakest direction of A it reaches 1e-12 near kappa = 300.
+    # CHOL_PIVOT_RATIO must send every such design to the SVD path.
+    rng = np.random.default_rng(14)
+    n, d = 400, 40
+    calls = _count_fallbacks(monkeypatch)
+    fast_kappas = []
+    for kappa in (1.0, 10.0, 30.0, 100.0, 300.0, 1e3, 1e4, 1e6):
+        U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A = (U * np.geomspace(1.0, 1.0 / kappa, d)) @ V.T
+        Y = U[:, -1] * np.sqrt(n) + 0.5 * rng.standard_normal(n)
+        before = len(calls)
+        fast = _SubsetScorer(DesignBlocks([A]), Y).norm_sq((0,))
+        if len(calls) == before:
+            fast_kappas.append(kappa)
+        assert abs(fast - project_norm_sq(A, Y)) <= 1e-12
+    assert 0.0 < CHOL_PIVOT_RATIO < 0.5
+    assert 30.0 in fast_kappas and 300.0 not in fast_kappas

@@ -142,3 +142,24 @@ def test_decay_experiment_exact_case():
     assert out["exact_representation"]
     assert out["l2_slope"] is None
     npt.assert_allclose(out["l2_errors"], 0.0, atol=1e-28)
+
+
+def test_run_trials_eq7_custom_density_uses_population_rho(monkeypatch):
+    # the eq7 truncation level must see the non-zero rho of a non-uniform marginal
+    from addsel import BasisSpec, epsilon_constants, rho_qstar, simulate
+    table = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    seen = []
+
+    def fake_trial(cfg, density, law, i, child, rho=0.0, eps_prime=0.0):
+        seen.append((rho, eps_prime))
+        return {"trial": i, "success": True, "exact": True}
+
+    monkeypatch.setattr(simulate, "run_single_trial", fake_trial)
+    cfg = _cfg(q=4, m_rule="eq7", cprime=0.05, trials=2,
+               **{"design.kind": "custom-density", "design.table": table})
+    run_trials(cfg)
+    density = make_density(DesignLaw("custom-density", table=table), 4)
+    probe = BasisSpec.create(4, 6)
+    expected = (rho_qstar(probe, density, 2), epsilon_constants(probe, density, 2)[1])
+    assert seen == [expected, expected]
+    assert expected[0] > 0.5
