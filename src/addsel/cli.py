@@ -110,7 +110,10 @@ def cmd_diagnose(args, cfg, emit):
     if density.independent and density.uniform_marginals:
         rho = 0.0
     else:
-        rho = geometry.rho_from_gram(G_pop, slices, qstar)
+        # the first k blocks hold every pair rho looks at (all q when not exchangeable)
+        k = geometry.representative_spec(spec, density, qstar).q
+        end = slices[k - 1].stop
+        rho = geometry.rho_from_gram(G_pop[:end, :end], slices[:k], qstar)
     kappa, kappa_l = geometry.kappa_values(model, density)
     holds_E, max_dev = diagnostics.event_E_from_grams(
         blocks.full_gram(), G_pop, slices, qstar, model.J0, cfg["delta"], subsets=subsets)

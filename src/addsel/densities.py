@@ -22,6 +22,9 @@ class Density:
     #: every marginal is Uniform[0,1]; with ``independent`` the centered trig
     #: blocks are then orthogonal, so rho = 0
     uniform_marginals = True
+    #: the law of X is invariant under permutations of the covariates; with
+    #: equal truncation levels, subsets then differ only by their labels
+    exchangeable = True
     #: lower bound c with c <= p_j <= 1/c for all marginals
     c = 1.0
 
@@ -55,6 +58,7 @@ class GaussianCopulaDensity(Density):
 
     independent = False
     uniform_marginals = True
+    exchangeable = True
     c = 1.0
 
     def __post_init__(self):
@@ -108,6 +112,7 @@ class TableDensity(Density):
 
     def __post_init__(self):
         self.uniform_marginals = not self.tables
+        self.exchangeable = not self.tables
         self._grids = {}
         cs = [1.0]
         for j, vals in self.tables.items():

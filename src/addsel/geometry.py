@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, comb, log2
 
 import numpy as np
@@ -14,6 +14,8 @@ from .errors import AssumptionError, BudgetError, SingularBlockError
 
 EIG_FLOOR = 1e-12
 DEFAULT_BUDGET = 10 ** 6
+#: most grid points sup_norm_ratio evaluates for one subset
+GRID_BUDGET = 2 ** 22
 # rounding allowance of check_ric_chain: eps (eigvalsh) and rho (SVD) agree only
 # to ~1e-15 where the chain is an equality (two blocks, qstar = 1)
 CHAIN_SLACK = 1e-12
@@ -30,6 +32,8 @@ class GeometryReport:
     kappa: float = float("nan")
     kappa_l: np.ndarray | None = None
     phi_2qstar: float = float("nan")
+    #: |J| -> points per axis of the sup-norm grid phi_2qstar used
+    phi_grid: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -40,6 +44,7 @@ class GeometryReport:
             "kappa": self.kappa,
             "kappa_l": None if self.kappa_l is None else list(map(float, self.kappa_l)),
             "phi_2qstar": self.phi_2qstar,
+            "phi_grid": dict(self.phi_grid),
         }
 
 
@@ -85,6 +90,30 @@ def count_subsets_up_to(q, size, include_empty=False):
     return sum(comb(q, r) for r in range(0 if include_empty else 1, size + 1))
 
 
+def _check_subset_budget(q, size, budget):
+    count = count_subsets_up_to(q, size)
+    if count > budget:
+        raise BudgetError("subset enumeration exceeds budget", count=count, budget=budget)
+
+
+def representative_spec(spec: BasisSpec, density: Density, qstar: int) -> BasisSpec:
+    """``spec`` cut to its first min(q, 2 qstar) covariates where that is exact.
+
+    Under an exchangeable law (``density.exchangeable``), with one (m_j, centered_j)
+    for all blocks, every diagonal block of the population Gram is the same
+    array and so is every cross block; G_J then depends only on how the blocks
+    of J interleave. Every subset of size <= 2 qstar, and every disjoint pair
+    of size <= qstar, occurs with the same Gram among the first 2 qstar
+    covariates, so rho, eps and phi over those equal, bit for bit, their
+    suprema over all q. Otherwise ``spec`` is returned unchanged.
+    """
+    k = min(spec.q, 2 * qstar)
+    equal_blocks = len(set(zip(spec.m, spec.centered))) == 1
+    if not (density.exchangeable and equal_blocks and 0 < k < spec.q):
+        return spec
+    return BasisSpec(q=k, m=spec.m[:k], centered=spec.centered[:k])
+
+
 def count_disjoint_pairs(q, qstar):
     total = 0
     for r1 in range(1, qstar + 1):
@@ -118,7 +147,7 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
 
 def rho_qstar(spec: BasisSpec, density: Density, qstar: int,
               budget=DEFAULT_BUDGET) -> float:
-    G, slices = full_block_gram(spec, density)
+    G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
     return rho_from_gram(G, slices, qstar, budget)
 
 
@@ -139,8 +168,7 @@ def _normalized_eig_range(G, slices, J):
 def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
     """(eps_2qstar, eps_prime_qstar) from eigenvalue extremes of normalized Grams."""
     q = len(slices)
-    if count_subsets_up_to(q, min(2 * qstar, q)) > budget:
-        raise BudgetError("subset enumeration exceeds budget", budget=budget)
+    _check_subset_budget(q, min(2 * qstar, q), budget)
     eps_low = 0.0
     eps_high = 0.0
     for J in subsets_up_to(q, min(2 * qstar, q)):
@@ -155,7 +183,7 @@ def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
 
 def epsilon_constants(spec: BasisSpec, density: Density, qstar: int,
                       budget=DEFAULT_BUDGET):
-    G, slices = full_block_gram(spec, density)
+    G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
     return epsilons_from_gram(G, slices, qstar, budget)
 
 
@@ -223,21 +251,18 @@ def population_projection_gap(G, slices, J, J0, coef):
     return total - float(y @ y)
 
 
-def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024,
-                   budget=2 ** 22) -> float:
-    """Grid maximum of sqrt(b(x)^T G_J^{-1} b(x) / d_J) over x in [0,1]^|J|.
-
-    A lower bound of the true sup-norm ratio phi_J, improving with grid_size.
-    """
-    J = sorted(J)
-    d_J = spec.d_J(J)
-    if d_J < 1:
-        raise AssumptionError("sup_norm_ratio needs d_J >= 1")
-    k = len(J)
+def _grid_points(k, grid_size, budget):
+    """Points per axis of the sup-norm grid over k covariates: halved down to 8
+    until the k-dimensional grid fits the budget."""
     g = int(grid_size)
     while g ** k > budget and g > 8:
         g = g // 2
-    G = population_gram(spec, density, J)
+    return g
+
+
+def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
+    """sup_norm_ratio over the g^|J| grid, for ascending J with Gram G of V_J."""
+    k = len(J)
     W = _inv_sqrt(G, f"V_J for J={J}")
     M = W @ W
     x = (np.arange(g) + 0.5) / g
@@ -259,20 +284,41 @@ def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024,
             shape[a] = g
             shape[b] = g
             total = total + 2.0 * cross.reshape(shape)
-    return float(np.sqrt(total.max() / d_J))
+    return float(np.sqrt(total.max() / sum(dims)))
+
+
+def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024,
+                   budget=GRID_BUDGET) -> float:
+    """Grid maximum of sqrt(b(x)^T G_J^{-1} b(x) / d_J) over x in [0,1]^|J|.
+
+    A lower bound of the true sup-norm ratio phi_J, improving with grid_size.
+    """
+    J = sorted(J)
+    if spec.d_J(J) < 1:
+        raise AssumptionError("sup_norm_ratio needs d_J >= 1")
+    return _sup_norm_ratio(spec, population_gram(spec, density, J), J,
+                           _grid_points(len(J), grid_size, budget))
+
+
+def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size, budget):
+    """(phi_2qstar, {|J|: points per axis}) with each G_J sliced from the full Gram."""
+    best = 0.0
+    grid = {}
+    for J in subsets_up_to(spec.q, min(2 * qstar, spec.q)):
+        if spec.d_J(J) == 0:
+            continue
+        grid[len(J)] = g = _grid_points(len(J), grid_size, budget)
+        c = block_columns(slices, J)
+        best = max(best, _sup_norm_ratio(spec, G[np.ix_(c, c)], list(J), g))
+    return best, grid
 
 
 def phi_2qstar(spec: BasisSpec, density: Density, qstar: int, grid_size=1024,
-               budget=2 ** 22, subset_budget=DEFAULT_BUDGET) -> float:
-    size = min(2 * qstar, spec.q)
-    if count_subsets_up_to(spec.q, size) > subset_budget:
-        raise BudgetError("subset enumeration exceeds budget", budget=subset_budget)
-    best = 0.0
-    for J in subsets_up_to(spec.q, size):
-        if spec.d_J(J) == 0:
-            continue
-        best = max(best, sup_norm_ratio(spec, density, J, grid_size, budget))
-    return best
+               budget=GRID_BUDGET, subset_budget=DEFAULT_BUDGET) -> float:
+    spec = representative_spec(spec, density, qstar)
+    _check_subset_budget(spec.q, min(2 * qstar, spec.q), subset_budget)
+    G, slices = full_block_gram(spec, density)
+    return _phi_from_gram(spec, G, slices, qstar, grid_size, budget)[0]
 
 
 def verify_angle_equivalence(G11, G22, G12, trials: int, seed=0) -> bool:
@@ -298,13 +344,15 @@ def verify_angle_equivalence(G11, G22, G12, trials: int, seed=0) -> bool:
 
 def geometry_report(spec: BasisSpec, density: Density, qstar: int, model=None,
                     grid_size=512, budget=DEFAULT_BUDGET) -> GeometryReport:
-    G, slices = full_block_gram(spec, density)
+    rep = representative_spec(spec, density, qstar)
+    G, slices = full_block_gram(rep, density)
     rho = rho_from_gram(G, slices, qstar, budget)
     eps, eps_prime = epsilons_from_gram(G, slices, qstar, budget)
     report = GeometryReport(qstar=qstar, rho_qstar=rho, eps_2qstar=eps,
                             eps_prime_qstar=eps_prime)
     if model is not None and len(model.J0) > 0:
         report.kappa, report.kappa_l = kappa_values(model, density)
-    report.phi_2qstar = phi_2qstar(spec, density, qstar, grid_size,
-                                   subset_budget=budget)
+    # epsilons_from_gram has already checked the same subset count
+    report.phi_2qstar, report.phi_grid = _phi_from_gram(rep, G, slices, qstar,
+                                                        grid_size, GRID_BUDGET)
     return report

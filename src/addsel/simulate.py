@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, pi
@@ -254,7 +255,7 @@ def run_trials(cfg: dict):
         try:
             return run_single_trial(cfg, density, law, i, children[i], rho, eps_prime)
         except AddselError as exc:
-            return {"trial": i, "error": str(exc)}
+            return {"trial": i, "error": str(exc), "error_type": type(exc).__name__}
 
     threads = int(cfg.get("threads", 1))
     if threads > 1:
@@ -274,6 +275,7 @@ def run_trials(cfg: dict):
         "exact_rate": exact / n_ok if n_ok else float("nan"),
         "success_stderr": _binom_se(succ, n_ok),
         "exact_stderr": _binom_se(exact, n_ok),
+        "errors_by_type": dict(Counter(r["error_type"] for r in records if "error" in r)),
     }
     return records, summary
 

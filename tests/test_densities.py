@@ -92,3 +92,13 @@ def test_uniform_marginals_declared():
     assert GaussianCopulaDensity(r=0.5).uniform_marginals
     assert TableDensity(tables={}).uniform_marginals
     assert not TableDensity(tables={2: table}).uniform_marginals
+
+
+def test_exchangeable_declared():
+    table = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    assert UniformDensity().exchangeable
+    assert GaussianCopulaDensity(r=0.5).exchangeable
+    assert GaussianCopulaDensity(r=0.0).exchangeable
+    assert TableDensity(tables={}).exchangeable
+    # declared, not inferred: a table on every covariate is still not exchangeable
+    assert not TableDensity(tables={j: table for j in range(3)}).exchangeable

@@ -3,14 +3,14 @@ import numpy.testing as npt
 import pytest
 
 from addsel import (AssumptionError, BasisSpec, BudgetError, GaussianCopulaDensity,
-                    UniformDensity, check_ric_chain, epsilon_constants,
+                    TableDensity, UniformDensity, check_ric_chain, epsilon_constants,
                     geometry_report, kappa_values, min_angle_cos, phi_2qstar,
                     population_gram, rho_qstar, sup_norm_ratio,
                     verify_angle_equivalence)
 from addsel.geometry import (_inv_sqrt, count_disjoint_pairs, count_subsets_up_to,
                              epsilons_from_gram, population_projection_gap,
-                             rho_from_gram, subsets_up_to)
-from addsel.basis import full_block_gram
+                             representative_spec, rho_from_gram, subsets_up_to)
+from addsel.basis import block_columns, full_block_gram
 from addsel.simulate import AdditiveModel
 
 
@@ -181,3 +181,95 @@ def test_geometry_report_roundtrip():
     assert d["qstar"] == 1
     npt.assert_allclose(d["kappa"], 1.0, atol=1e-8)
     assert d["rho_qstar"] < 1e-10
+
+
+def _full_enumeration(spec, density, qstar, grid_size):
+    """(rho, eps, eps', phi) over every subset of all q covariates, phi_J rebuilt per J."""
+    G, slices = full_block_gram(spec, density)
+    rho = rho_from_gram(G, slices, qstar)
+    eps, eps_prime = epsilons_from_gram(G, slices, qstar)
+    phi = max(sup_norm_ratio(spec, density, J, grid_size)
+              for J in subsets_up_to(spec.q, min(2 * qstar, spec.q)))
+    return rho, eps, eps_prime, phi
+
+
+def _report_values(spec, density, qstar, grid_size):
+    rep = geometry_report(spec, density, qstar, grid_size=grid_size)
+    return rep.rho_qstar, rep.eps_2qstar, rep.eps_prime_qstar, rep.phi_2qstar
+
+
+_TILT = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+
+
+@pytest.mark.parametrize("density", [GaussianCopulaDensity(r=-0.1), GaussianCopulaDensity(r=0.3),
+                                     GaussianCopulaDensity(r=0.7), UniformDensity()],
+                         ids=["copula-0.1", "copula0.3", "copula0.7", "uniform"])
+@pytest.mark.parametrize("q,qstar,m", [(5, 1, 4), (6, 2, 3), (3, 2, 4)])
+def test_exchangeable_reduction_is_bitwise_exact(density, q, qstar, m):
+    # [DERIVED] under an exchangeable law with equal m, G_J depends only on how
+    # the blocks of J interleave, so the first 2 qstar covariates hold every
+    # value the suprema take; (3, 2, 4) has q <= 2 qstar and nothing is cut
+    spec = BasisSpec.create(q, m)
+    assert representative_spec(spec, density, qstar).q == min(q, 2 * qstar)
+    full = _full_enumeration(spec, density, qstar, 64)
+    assert _report_values(spec, density, qstar, 64) == full
+    assert rho_qstar(spec, density, qstar) == full[0]
+    assert epsilon_constants(spec, density, qstar) == full[1:3]
+    assert phi_2qstar(spec, density, qstar, grid_size=64) == full[3]
+
+
+@pytest.mark.parametrize("density,m", [(TableDensity(tables={4: _TILT}), 4),
+                                       (GaussianCopulaDensity(r=0.5), (3, 3, 3, 3, 5))],
+                         ids=["table-on-last", "unequal-m"])
+def test_full_enumeration_when_not_exchangeable(density, m):
+    spec = BasisSpec.create(5, m)
+    assert representative_spec(spec, density, 1) is spec
+    full = _full_enumeration(spec, density, 1, 64)
+    assert _report_values(spec, density, 1, 64) == full
+    assert rho_qstar(spec, density, 1) == full[0]
+    assert phi_2qstar(spec, density, 1, grid_size=64) == full[3]
+    # the last covariate matters here: a spec cut to the first two would miss it
+    cut = _full_enumeration(BasisSpec(q=2, m=spec.m[:2], centered=spec.centered[:2]),
+                            density, 1, 64)
+    assert abs(cut[0] - full[0]) > 1e-3 or abs(cut[3] - full[3]) > 1e-3
+
+
+def test_budget_counts_representative_subsets():
+    # q = 12, qstar = 2: 2211 disjoint pairs and 793 subsets over all covariates,
+    # 21 and 15 over the first four
+    spec = BasisSpec.create(12, 3)
+    dens = GaussianCopulaDensity(r=0.3)
+    assert count_disjoint_pairs(4, 2) == 21 and count_subsets_up_to(4, 4) == 15
+    geometry_report(spec, dens, 2, grid_size=16, budget=21)
+    with pytest.raises(BudgetError) as exc:
+        geometry_report(spec, dens, 2, grid_size=16, budget=20)
+    assert exc.value.count == 21
+    phi_2qstar(spec, dens, 2, grid_size=16, subset_budget=15)
+    with pytest.raises(BudgetError) as exc:
+        phi_2qstar(spec, dens, 2, grid_size=16, subset_budget=14)
+    assert exc.value.count == 15
+    with pytest.raises(BudgetError) as exc:
+        geometry_report(spec, TableDensity(tables={11: _TILT}), 2, grid_size=16, budget=21)
+    assert exc.value.count == count_disjoint_pairs(12, 2) == 2211
+
+
+def test_phi_reads_slices_of_one_population_gram():
+    # [DERIVED] population_gram builds each block on its own and symmetrizes
+    # entry by entry, so a slice of the full Gram is G_J bit for bit
+    spec = BasisSpec.create(4, 4)
+    dens = TableDensity(tables={1: _TILT, 3: _TILT[::-1]})
+    G, slices = full_block_gram(spec, dens)
+    for J in subsets_up_to(4, 4):
+        c = block_columns(slices, J)
+        assert np.array_equal(G[np.ix_(c, c)], population_gram(spec, dens, J)), J
+    assert phi_2qstar(spec, dens, 2, grid_size=32) == max(
+        sup_norm_ratio(spec, dens, J, 32) for J in subsets_up_to(4, 4))
+
+
+def test_geometry_report_phi_grid():
+    # the default 512 points per axis are halved until g^|J| <= 2^22
+    spec = BasisSpec.create(4, 3)
+    rep = geometry_report(spec, GaussianCopulaDensity(r=0.3), 2)
+    assert rep.phi_grid == {1: 512, 2: 512, 3: 128, 4: 32}
+    assert rep.to_dict()["phi_grid"] == rep.phi_grid
+    assert geometry_report(spec, UniformDensity(), 1, grid_size=64).phi_grid == {1: 64, 2: 64}

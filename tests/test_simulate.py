@@ -119,6 +119,15 @@ def test_run_trials_records_errors_and_continues():
     assert np.isnan(summary["success_rate"])
 
 
+def test_run_trials_errors_carry_type():
+    records, summary = run_trials(_cfg(alpha=1.0, K=7.0, kappa1=2.0, trials=3))
+    assert [r["error_type"] for r in records] == ["AddselError"] * 3
+    assert all(r["error"] for r in records)
+    assert summary["errors_by_type"] == {"AddselError": 3}
+    _, summary = run_trials(_cfg(trials=2))
+    assert summary["errors_by_type"] == {}
+
+
 def test_run_trials_eq7_rule():
     _, summary = run_trials(_cfg(m_rule="eq7", cprime=0.05, trials=2, n=300))
     assert summary["completed"] == 2
