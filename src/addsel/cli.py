@@ -103,27 +103,36 @@ def cmd_diagnose(args, cfg, emit):
     blocks = build_design_blocks(X, spec)
     qstar = cfg["qstar"]
     subsets = None
+    # the candidate sets J, the empty one included, that RIP and event E range over
+    n_subsets = geometry.count_subsets_up_to(cfg["q"], qstar, include_empty=True)
     if geometry.count_subsets_up_to(cfg["q"], qstar) > 20000:
         subsets = diagnostics.sample_subsets(cfg["q"], qstar, 2000, seed=cfg["seed"])
+        n_subsets = len(subsets)
     delta_hat = diagnostics.rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
-    G_pop, slices = full_block_gram(spec, density)
-    if density.independent and density.uniform_marginals:
+    G_pop = None
+    if geometry.population_gram_is_identity(spec, density):
         rho = 0.0
     else:
+        G_pop, slices = full_block_gram(spec, density)
         # the first k blocks hold every pair rho looks at (all q when not exchangeable)
         k = geometry.representative_spec(spec, density, qstar).q
         end = slices[k - 1].stop
         rho = geometry.rho_from_gram(G_pop[:end, :end], slices[:k], qstar)
     kappa, kappa_l = geometry.kappa_values(model, density)
-    holds_E, max_dev = diagnostics.event_E_from_grams(
-        blocks.full_gram(), G_pop, slices, qstar, model.J0, cfg["delta"], subsets=subsets)
+    if G_pop is None:
+        # P_U = I on every union U = J u J0, so E's normalized Gram is G_emp[U, U]
+        # and its largest deviation is the RIP constant over the same unions
+        max_dev = delta_hat
+    else:
+        _, max_dev = diagnostics.event_E_from_grams(
+            blocks.full_gram(), G_pop, slices, qstar, model.J0, cfg["delta"], subsets=subsets)
     holds_A = diagnostics.event_A_check(X, model, spec, density, rho, kappa,
                                         cfg["cprime"])
-    d_l = [spec.d_l(l) for l in range(1, qstar + 1)]
     report = {
         "delta_qstar": delta_hat,
-        "event_E_holds": {"delta": cfg["delta"], "holds": bool(holds_E),
+        "event_E_holds": {"delta": cfg["delta"], "holds": bool(max_dev <= cfg["delta"]),
                           "max_deviation": max_dev},
+        "subset_collection": {"sampled": subsets is not None, "subsets": n_subsets},
         "event_A_holds": bool(holds_A),
         "rho": rho,
         "kappa": kappa,

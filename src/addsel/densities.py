@@ -28,6 +28,10 @@ class Density:
     #: lower bound c with c <= p_j <= 1/c for all marginals
     c = 1.0
 
+    def uniform_marginal(self, j: int) -> bool:
+        """Whether covariate j is Uniform[0,1], so the trig system is orthonormal on it."""
+        return self.uniform_marginals
+
     def marginal_pdf(self, j: int, x: np.ndarray) -> np.ndarray:
         return np.ones_like(np.asarray(x, dtype=float))
 
@@ -112,6 +116,9 @@ class TableDensity(Density):
 
     def __post_init__(self):
         self.uniform_marginals = not self.tables
+        # a builder that puts one table on every covariate declares the law
+        # exchangeable itself; the tables alone do not say how many covariates
+        # the design has
         self.exchangeable = not self.tables
         self._grids = {}
         cs = [1.0]
@@ -129,6 +136,9 @@ class TableDensity(Density):
             if len(positive):
                 cs.append(min(positive.min(), 1.0 / vals.max()))
         self.c = float(min(cs))
+
+    def uniform_marginal(self, j):
+        return j not in self._grids
 
     def marginal_pdf(self, j, x):
         x = np.asarray(x, dtype=float)

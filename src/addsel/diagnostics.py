@@ -6,7 +6,7 @@ from math import comb, exp, log, sqrt
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBlocks, basis_matrix, block_columns, \
+from .basis import BasisSpec, DesignBlocks, basis_matrix, \
     build_design_blocks, full_block_gram
 from .densities import Density
 from .errors import AssumptionError, BudgetError
@@ -57,18 +57,31 @@ def _union_chunks(slices, qstar, J0, subsets, budget):
 
     Yields (members, cols): members are (position in enumeration order,
     union) pairs, ascending within the chunk; cols is the (k, d) array of
-    their column indices.
+    their column indices, row i equal to ``block_columns(slices, union_i)``.
     """
+    starts = np.array([s.start for s in slices], dtype=int)
+    widths = [s.stop - s.start for s in slices]
     groups = {}
     for pos, union in enumerate(_union_collection(len(slices), qstar, J0, subsets, budget)):
-        c = block_columns(slices, union)
-        if len(c):
-            groups.setdefault(len(c), []).append((pos, union, c))
+        sig = tuple(widths[j] for j in union)
+        if sum(sig):
+            groups.setdefault(sum(sig), []).append((pos, union, sig))
     for d in sorted(groups):
         members = groups[d]
-        for start in range(0, len(members), EIG_CHUNK):
-            chunk = members[start:start + EIG_CHUNK]
-            yield [(pos, union) for pos, union, _ in chunk], np.array([c for *_, c in chunk])
+        for lo in range(0, len(members), EIG_CHUNK):
+            chunk = members[lo:lo + EIG_CHUNK]
+            rows_by_sig = {}
+            for row, (_, _, sig) in enumerate(chunk):
+                rows_by_sig.setdefault(sig, []).append(row)
+            cols = np.empty((len(chunk), d), dtype=int)
+            for sig, rows in rows_by_sig.items():
+                # one broadcast for all unions of this block-width signature:
+                # column t of such a union is start(block b_t) + (t - offset of b_t)
+                block_of = np.repeat(np.arange(len(sig)), sig)
+                within = np.arange(d) - np.repeat(np.cumsum(sig) - sig, sig)
+                U = np.array([chunk[r][1] for r in rows])
+                cols[rows] = starts[U][:, block_of] + within
+            yield [(pos, union) for pos, union, _ in chunk], cols
 
 
 def _stacked(G, cols):
@@ -156,7 +169,7 @@ def _component_projection_coef(theta, spec, density, j):
     d = spec.dim(j)
     if d == 0:
         return np.zeros(0)
-    if isinstance(density, Density) and density.c == 1.0 and not _has_table(density, j):
+    if density.uniform_marginal(j):
         # uniform marginal: the trig system is orthonormal, projection = truncation
         out = np.zeros(d)
         k = min(d, len(theta))
@@ -169,11 +182,6 @@ def _component_projection_coef(theta, spec, density, j):
     GV = (BV * p[:, None]).T @ BV / QUAD_NODES_1D
     cross = (BV * p[:, None]).T @ Bfull / QUAD_NODES_1D
     return np.linalg.solve(GV, cross @ theta)
-
-
-def _has_table(density, j):
-    tables = getattr(density, "tables", None)
-    return bool(tables) and j in tables
 
 
 def event_A_check(X, model, spec: BasisSpec, density: Density, rho: float,

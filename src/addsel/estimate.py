@@ -92,10 +92,7 @@ def component_risk(model: AdditiveModel, estimate: ComponentEstimate,
     j = estimate.target
     theta_true = np.asarray(model.theta[j], dtype=float)
     theta_hat = np.asarray(estimate.coefficients, dtype=float)
-    uniform = density is None or (
-        density.c == 1.0 and np.allclose(density.marginal_pdf(j, np.array([0.25, 0.7])), 1.0)
-    )
-    if uniform:
+    if density is None or density.uniform_marginal(j):
         # Parseval: coefficient differences plus the untouched tail
         k = max(len(theta_true), len(theta_hat))
         a = np.zeros(k)

@@ -96,6 +96,17 @@ def _check_subset_budget(q, size, budget):
         raise BudgetError("subset enumeration exceeds budget", count=count, budget=budget)
 
 
+def population_gram_is_identity(spec: BasisSpec, density: Density) -> bool:
+    """Whether the population Gram of V_{1..q} is the identity.
+
+    Independent Uniform[0,1] covariates make the trig system orthonormal on each
+    block and, once phi_1 is left out (every block centered), mean-zero, so the
+    cross blocks vanish. rho is then 0 and the normalized Gram of event E on any
+    union is the empirical Gram itself.
+    """
+    return density.independent and density.uniform_marginals and all(spec.centered)
+
+
 def representative_spec(spec: BasisSpec, density: Density, qstar: int) -> BasisSpec:
     """``spec`` cut to its first min(q, 2 qstar) covariates where that is exact.
 

@@ -21,6 +21,10 @@ RANK_RTOL = 1e-10
 #: (ratio 0.02-0.03); at 0.1 it stays below 1e-13. Trigonometric designs sit
 #: at 0.5-0.9 (copula r=0.9: 0.5), so they never reach the SVD path.
 CHOL_PIVOT_RATIO = 0.1
+#: criteria within this relative distance of each other count as tied, so the
+#: documented |J|-then-lexicographic order picks between subsets whose values
+#: agree in exact arithmetic (two J spanning one space) instead of rounding
+TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -138,10 +142,13 @@ def _criterion_value(scorer: _SubsetScorer, spec: BasisSpec, J, sigma2):
 
 
 def _better(candidate, incumbent):
-    """Deterministic argmax order: value desc, then |J| asc, then lexicographic."""
+    """Deterministic argmax order: value desc, then |J| asc, then lexicographic.
+
+    Values within TIE_RTOL of each other (relative to the larger) are ties.
+    """
     val_c, J_c = candidate
     val_i, J_i = incumbent
-    if val_c != val_i:
+    if abs(val_c - val_i) > TIE_RTOL * max(abs(val_c), abs(val_i)):
         return val_c > val_i
     return (len(J_c), J_c) < (len(J_i), J_i)
 

@@ -12,7 +12,7 @@ import numpy as np
 from .basis import BasisSpec, basis_matrix
 from .densities import Density, GaussianCopulaDensity, TableDensity, UniformDensity
 from .errors import AddselError, AssumptionError, ConfigError
-from .geometry import epsilon_constants, kappa_values, rho_qstar
+from .geometry import epsilon_constants, kappa_values, population_gram_is_identity, rho_qstar
 from .selection import Dataset, select_exhaustive, select_greedy
 
 #: head-energy decay across frequencies in generated components
@@ -43,8 +43,10 @@ def make_density(law: DesignLaw, q: int | None = None) -> Density:
         return UniformDensity()
     if law.kind == "gaussian-copula":
         return GaussianCopulaDensity(r=law.r)
-    tables = {j: law.table for j in range(q or 1)}
-    return TableDensity(tables=tables)
+    density = TableDensity(tables={j: law.table for j in range(q or 1)})
+    # one table on each of the q covariates: the law is invariant under permutations
+    density.exchangeable = q is not None
+    return density
 
 
 def gen_design(law: DesignLaw, n: int, q: int, seed) -> np.ndarray:
@@ -244,9 +246,8 @@ def run_trials(cfg: dict):
                     table=cfg.get("design.table"))
     density = make_density(law, cfg["q"])
     rho = eps_prime = 0.0
-    if cfg.get("m_rule") == "eq7" and not (density.independent
-                                           and density.uniform_marginals):
-        probe = BasisSpec.create(cfg["q"], 6, centered=True)
+    probe = BasisSpec.create(cfg["q"], 6, centered=True)
+    if cfg.get("m_rule") == "eq7" and not population_gram_is_identity(probe, density):
         rho = rho_qstar(probe, density, cfg["qstar"])
         _, eps_prime = epsilon_constants(probe, density, cfg["qstar"])
     children = np.random.SeedSequence(cfg["seed"]).spawn(trials)

@@ -165,3 +165,52 @@ def test_cli_diagnose_custom_density_uses_population_rho(tmp_path):
     expected = rho_qstar(BasisSpec.create(4, 5), density, 2)
     assert report["rho"] == expected
     assert abs(expected - 0.5517) < 1e-3
+
+
+WIDE = ("design.kind = independent-uniform\nn = 400\nq = 40\ns = 2\nqstar = 3\n"
+        "m_rule = fixed:5\ndelta = 0.5\nseed = 11\n")
+
+
+def test_cli_diagnose_uniform_takes_event_E_from_rip(tmp_path, monkeypatch):
+    # P_U = I under the uniform law: no population Gram, no second union pass
+    from addsel import cli, diagnostics
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("the uniform law needs no whitened pass")
+
+    monkeypatch.setattr(cli, "full_block_gram", second_pass)
+    monkeypatch.setattr(diagnostics, "event_E_from_grams", second_pass)
+    out = str(tmp_path / "diag.jsonl")
+    assert main(["diagnose", "--config", _write(tmp_path, WIDE), "--out", out]) == 0
+    _, report = _lines(out)
+    event = report["event_E_holds"]
+    assert event["max_deviation"] == report["delta_qstar"]
+    assert event["holds"] == (event["max_deviation"] <= 0.5)
+    assert report["rho"] == 0.0
+    # 1 + 40 + 780 + 9880 candidate sets, all of them scored
+    assert report["subset_collection"] == {"sampled": False, "subsets": 10701}
+
+
+def test_cli_diagnose_flags_sampled_collection(tmp_path):
+    # q = 50, qstar = 3: 20,876 candidate sets, above the 20,000 limit
+    from addsel import sample_subsets
+    text = WIDE.replace("q = 40", "q = 50").replace("n = 400", "n = 200")
+    out = str(tmp_path / "diag.jsonl")
+    assert main(["diagnose", "--config", _write(tmp_path, text), "--out", out]) == 0
+    _, report = _lines(out)
+    assert report["subset_collection"] == {
+        "sampled": True, "subsets": len(sample_subsets(50, 3, 2000, seed=11))}
+    assert report["event_E_holds"]["max_deviation"] == report["delta_qstar"]
+
+
+def test_cli_diagnose_custom_density_still_whitens(tmp_path):
+    # independent but not uniform: P_U is not the identity, so E's deviation
+    # comes from the whitened Grams and differs from the RIP constant
+    text = ("design.kind = custom-density\n"
+            f"design.table = {', '.join(repr(float(v)) for v in TABLE)}\n"
+            "n = 200\nq = 4\ns = 2\nqstar = 2\nm_rule = fixed:5\nseed = 3\n")
+    out = str(tmp_path / "diag.jsonl")
+    assert main(["diagnose", "--config", _write(tmp_path, text), "--out", out]) == 0
+    _, report = _lines(out)
+    assert abs(report["event_E_holds"]["max_deviation"] - report["delta_qstar"]) > 1e-3
+    assert report["subset_collection"] == {"sampled": False, "subsets": 11}

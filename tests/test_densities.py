@@ -102,3 +102,12 @@ def test_exchangeable_declared():
     assert TableDensity(tables={}).exchangeable
     # declared, not inferred: a table on every covariate is still not exchangeable
     assert not TableDensity(tables={j: table for j in range(3)}).exchangeable
+
+
+def test_uniform_marginal_declared_per_covariate():
+    table = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    assert UniformDensity().uniform_marginal(5)
+    assert GaussianCopulaDensity(r=0.5).uniform_marginal(0)
+    dens = TableDensity(tables={1: table})
+    assert dens.uniform_marginal(0) and dens.uniform_marginal(2)
+    assert not dens.uniform_marginal(1)

@@ -256,3 +256,51 @@ def test_event_E_singular_population_gram_names_first_union():
     assert "(0, 1)" in str(ref.value)
     assert str(got.value) == str(ref.value)
     assert got.value.block == ref.value.block
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_identity_population_gram_gives_event_E_equal_to_rip(seed):
+    # [DERIVED] under independent uniform marginals with centered blocks P_U = I,
+    # so P_U^{-1/2} G_emp[U, U] P_U^{-1/2} = G_emp[U, U] and E's deviation is the
+    # RIP constant over the same unions; the quadrature G_pop agrees to rounding
+    from addsel.basis import full_block_gram
+    from addsel.geometry import population_gram_is_identity
+    rng = np.random.default_rng(seed)
+    spec = BasisSpec.create(9, 4)
+    blocks = build_design_blocks(rng.random((120, 9)), spec)
+    assert population_gram_is_identity(spec, UniformDensity())
+    G_pop, slices = full_block_gram(spec, UniformDensity())
+    sampled = sample_subsets(9, 3, 40, seed=seed)
+    for J0, subsets in (((), None), ((2, 7), None), ((4,), sampled)):
+        delta = rip_constant(blocks, 3, J0=J0, subsets=subsets)
+        _, dev = event_E_from_grams(blocks.full_gram(), G_pop, slices, 3, J0, 0.5,
+                                    subsets=subsets)
+        npt.assert_allclose(dev, delta, rtol=0.0, atol=1e-12)
+
+
+def test_union_chunks_equal_per_union_block_columns():
+    # widths 3, 0, 5, 1, ... mix many block-width signatures in one column
+    # count; the zero-width block drops out of every union it joins
+    from addsel.basis import block_columns
+    from addsel.diagnostics import _union_chunks
+    slices = block_slices([3, 0, 5, 1, 2, 4, 6, 2, 3, 1, 5, 2, 2, 2, 2, 2])
+    full_chunks = 0
+    for qstar, J0, subsets in ((4, (), None), (3, (1, 6), None),
+                               (4, (2,), sample_subsets(16, 4, 300, seed=3))):
+        groups = {}
+        for pos, union in enumerate(_union_collection(16, qstar, J0, subsets)):
+            c = block_columns(slices, union)
+            if len(c):
+                groups.setdefault(len(c), []).append((pos, union, c))
+        expected = []
+        for d in sorted(groups):
+            for lo in range(0, len(groups[d]), EIG_CHUNK):
+                chunk = groups[d][lo:lo + EIG_CHUNK]
+                expected.append(([(p, u) for p, u, _ in chunk], np.array([c for *_, c in chunk])))
+        got = list(_union_chunks(slices, qstar, J0, subsets, 10 ** 6))
+        full_chunks += sum(len(members) == EIG_CHUNK for members, _ in got)
+        assert len(got) == len(expected)
+        for (members, cols), (ref_members, ref_cols) in zip(got, expected):
+            assert members == ref_members
+            assert cols.dtype == ref_cols.dtype and np.array_equal(cols, ref_cols)
+    assert full_chunks > 0

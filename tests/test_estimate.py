@@ -88,3 +88,28 @@ def test_rate_experiment_risk_decreases():
     assert out["slope"] < 0
     lo, hi = out["slope_band"]
     assert lo <= out["slope"] <= hi
+
+
+def test_uniform_covariate_beside_a_table_matches_quadrature():
+    # a table on covariate 1 only: covariate 0 is declared uniform and takes the
+    # Parseval/truncation path; a flat table on covariate 0 sends the same law
+    # through the quadrature path
+    from addsel import TableDensity
+    from addsel.diagnostics import _component_projection_coef
+    from addsel.estimate import ComponentEstimate
+    tilt = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    declared = TableDensity(tables={1: tilt})
+    quadrature = TableDensity(tables={0: np.ones(256), 1: tilt})
+    assert declared.uniform_marginal(0) and not declared.uniform_marginal(1)
+    assert not quadrature.uniform_marginal(0)
+    theta = np.array([1.0, -0.4, 0.3, 0.0, 0.2, 0.1])
+    model = AdditiveModel(q=2, J0=(0,), theta=[theta, np.zeros(0)], alpha=(2.0, 2.0),
+                          Kbound=(40.0, 40.0))
+    est = ComponentEstimate(target=0, coefficients=np.array([0.9, -0.3, 0.25]),
+                            selected=(0,), m_target=4, n_half=10)
+    npt.assert_allclose(component_risk(model, est, declared),
+                        component_risk(model, est, quadrature), rtol=0.0, atol=1e-12)
+    spec = BasisSpec.create(2, 4)
+    npt.assert_allclose(_component_projection_coef(theta, spec, declared, 0),
+                        _component_projection_coef(theta, spec, quadrature, 0),
+                        rtol=0.0, atol=1e-12)

@@ -273,3 +273,48 @@ def test_geometry_report_phi_grid():
     assert rep.phi_grid == {1: 512, 2: 512, 3: 128, 4: 32}
     assert rep.to_dict()["phi_grid"] == rep.phi_grid
     assert geometry_report(spec, UniformDensity(), 1, grid_size=64).phi_grid == {1: 64, 2: 64}
+
+
+def test_population_gram_is_identity_declared():
+    from addsel.geometry import population_gram_is_identity
+    centered = BasisSpec.create(4, 4)
+    for density in (UniformDensity(), GaussianCopulaDensity(r=0.0)):
+        assert population_gram_is_identity(centered, density)
+        G, _ = full_block_gram(centered, density)
+        npt.assert_allclose(G, np.eye(len(G)), rtol=0.0, atol=1e-12)
+    # phi_1 = 1 in two blocks couples them; a copula or a table moves the Gram
+    # off the identity with every block centered
+    for spec, density in ((BasisSpec.create(4, 4, centered=False), UniformDensity()),
+                          (BasisSpec.create(4, 4, centered=(True, False, False, True)),
+                           UniformDensity()),
+                          (centered, GaussianCopulaDensity(r=0.3)),
+                          (centered, TableDensity(tables={2: _TILT}))):
+        assert not population_gram_is_identity(spec, density)
+        G, _ = full_block_gram(spec, density)
+        assert np.abs(G - np.eye(len(G))).max() > 1e-3
+
+
+@pytest.mark.parametrize("q,qstar,m", [(5, 1, 4), (6, 2, 3)])
+def test_custom_density_law_reduction_is_bitwise_exact(q, qstar, m):
+    # one table on every covariate: every diagonal block is one array and every
+    # cross block one outer product of the same means
+    from addsel.simulate import DesignLaw, make_density
+    density = make_density(DesignLaw("custom-density", table=_TILT), q)
+    assert density.exchangeable
+    spec = BasisSpec.create(q, m)
+    assert representative_spec(spec, density, qstar).q == 2 * qstar
+    full = _full_enumeration(spec, density, qstar, 64)
+    assert _report_values(spec, density, qstar, 64) == full
+    assert rho_qstar(spec, density, qstar) == full[0]
+    assert epsilon_constants(spec, density, qstar) == full[1:3]
+    assert phi_2qstar(spec, density, qstar, grid_size=64) == full[3]
+    assert full[0] > 0.1  # the tables couple the centered blocks
+
+
+def test_tables_on_some_covariates_stay_non_exchangeable():
+    from addsel.simulate import DesignLaw, make_density
+    assert not TableDensity(tables={0: _TILT, 1: _TILT}).exchangeable
+    # without q the builder cannot put a table on every covariate
+    assert not make_density(DesignLaw("custom-density", table=_TILT)).exchangeable
+    spec = BasisSpec.create(5, 4)
+    assert representative_spec(spec, TableDensity(tables={0: _TILT, 1: _TILT}), 1) is spec

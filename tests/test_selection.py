@@ -213,3 +213,29 @@ def test_cholesky_pivot_ratio_keeps_fast_path_within_1e_12(monkeypatch):
         assert abs(fast - project_norm_sq(A, Y)) <= 1e-12
     assert 0.0 < CHOL_PIVOT_RATIO < 0.5
     assert 30.0 in fast_kappas and 300.0 not in fast_kappas
+
+
+def test_better_treats_criteria_within_tie_rtol_as_tied():
+    from addsel.selection import TIE_RTOL
+    assert 0.0 < TIE_RTOL <= 1e-10
+    near = 1.0 + 0.1 * TIE_RTOL
+    assert _better((1.0, (0, 1)), (near, (1, 2)))
+    assert not _better((near, (1, 2)), (1.0, (0, 1)))
+    assert _better((1.0, (3,)), (near, (0, 1)))  # smaller |J| first
+    assert _better((1.0 + 1e3 * TIE_RTOL, (1, 2)), (1.0, (0, 1)))
+
+
+def test_exact_ties_fall_to_size_then_lexicographic_order():
+    # covariate 2 copies covariate 0, so (0, 1) and (1, 2) span one space and
+    # their criteria are equal in exact arithmetic; the SVD path orders them by
+    # rounding unless near-equal values count as tied
+    rng = np.random.default_rng(12)
+    X = rng.random((120, 4))
+    X[:, 2] = X[:, 0]
+    ds = Dataset(X, np.sqrt(2) * np.cos(2 * np.pi * X[:, 0]) + 0.3 * rng.standard_normal(120))
+    spec = BasisSpec.create(4, 4)
+    res = select_exhaustive(ds, spec, 2, 0.09)
+    crit, chosen = _reference(ds, spec, 2, 0.09)
+    assert abs(crit[(0, 1)] - crit[(1, 2)]) <= 1e-14
+    assert res.chosen == (0, 1)
+    assert chosen == (0, 1)
