@@ -12,7 +12,7 @@ import numpy as np
 
 from . import diagnostics, geometry
 from .basis import BasisSpec, build_design_blocks, full_block_gram
-from .config import load_config
+from .config import fixed_m, load_config
 from .errors import AddselError, ConfigError
 from .estimate import rate_experiment
 from .simulate import DesignLaw, gen_model, make_density, run_trials
@@ -47,7 +47,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None, help="override config threads")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted so that old configs run; has no effect")
     return parser
 
 
@@ -62,11 +63,6 @@ def _manifest(args, cfg):
     }
 
 
-def _fixed_m(cfg):
-    rule = cfg["m_rule"]
-    return int(rule.split(":", 1)[1]) if rule.startswith("fixed:") else 5
-
-
 def _model_and_density(cfg):
     law = DesignLaw(kind=cfg["design.kind"], r=cfg["design.r"],
                     table=cfg.get("design.table"))
@@ -78,8 +74,8 @@ def _model_and_density(cfg):
 
 
 def cmd_geometry(args, cfg, emit):
+    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "geometry"), centered=True)
     model, density = _model_and_density(cfg)
-    spec = BasisSpec.create(cfg["q"], _fixed_m(cfg), centered=True)
     report = geometry.geometry_report(spec, density, cfg["qstar"], model=model)
     emit(report.to_dict())
 
@@ -96,8 +92,8 @@ def cmd_estimate(args, cfg, emit):
 
 
 def cmd_diagnose(args, cfg, emit):
+    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "diagnose"), centered=True)
     model, density = _model_and_density(cfg)
-    spec = BasisSpec.create(cfg["q"], _fixed_m(cfg), centered=True)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
     X = density.sample(cfg["n"], cfg["q"], rng)
     blocks = build_design_blocks(X, spec)

@@ -98,16 +98,7 @@ def _validate(cfg):
         raise ConfigError(f"unknown design.kind {cfg['design.kind']!r}")
     if not -1.0 < cfg["design.r"] < 1.0:
         raise ConfigError("design.r must lie in (-1, 1)")
-    rule = cfg["m_rule"]
-    if rule != "eq7":
-        if not rule.startswith("fixed:"):
-            raise ConfigError(f"m_rule must be 'eq7' or 'fixed:<int>', got {rule!r}")
-        try:
-            m = int(rule.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"m_rule must be 'eq7' or 'fixed:<int>', got {rule!r}")
-        if m < 2:
-            raise ConfigError("fixed truncation level must be >= 2")
+    parse_m_rule(cfg["m_rule"])
     if cfg["search"] not in ("exhaustive", "greedy"):
         raise ConfigError(f"search must be 'exhaustive' or 'greedy', got {cfg['search']!r}")
     if cfg["trials"] < 1 or cfg["reps"] < 1:
@@ -116,3 +107,32 @@ def _validate(cfg):
         raise ConfigError(f"target must lie in [0, q), got {cfg['target']}")
     if not 0 < cfg["cprime"] < 1 or not 0 <= cfg["delta"] < 1:
         raise ConfigError("need 0 < cprime < 1 and 0 <= delta < 1")
+
+
+def parse_m_rule(rule: str) -> int | None:
+    """Truncation level of ``fixed:<m>`` (m >= 2), or None for ``eq7``."""
+    if rule == "eq7":
+        return None
+    bad = ConfigError(f"m_rule must be 'eq7' or 'fixed:<int>', got {rule!r}")
+    if not rule.startswith("fixed:"):
+        raise bad
+    try:
+        m = int(rule.split(":", 1)[1])
+    except ValueError:
+        raise bad from None
+    if m < 2:
+        raise ConfigError("fixed truncation level must be >= 2")
+    return m
+
+
+def fixed_m(cfg: dict, command: str) -> int:
+    """The config's fixed truncation level; ConfigError naming the command under eq7.
+
+    Only ``simulate`` derives m from eq7; the other commands would otherwise
+    run at some default level without saying so.
+    """
+    m = parse_m_rule(cfg.get("m_rule", DEFAULTS["m_rule"]))
+    if m is None:
+        raise ConfigError(f"{command} does not support m_rule = eq7 (only simulate "
+                          "does); set m_rule = fixed:<m>")
+    return m

@@ -7,7 +7,8 @@ from math import ceil
 
 import numpy as np
 
-from .basis import QUAD_NODES_1D, BasisSpec, basis_matrix, build_design_blocks
+from .basis import QUAD_NODES_1D, BasisSpec, basis_matrix, build_design_block
+from .config import fixed_m
 from .densities import Density, UniformDensity
 from .errors import AddselError
 from .selection import RANK_RTOL, Dataset, select_exhaustive
@@ -63,8 +64,11 @@ def estimate_component(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: fl
     m_fit[target] = max(m_target, 2)
     fit_spec = BasisSpec.create(spec.q, tuple(m_fit), centered=True)
     X2, Y2 = dataset.X[n:], dataset.Y[n:]
-    blocks = build_design_blocks(X2, fit_spec)
-    A = blocks.concat(J_fit)
+    if np.any(X2 < 0.0) or np.any(X2 > 1.0):
+        raise AddselError("design entries must lie in [0,1]")
+    # only the refit set's blocks: the other covariates play no part in the fit
+    A = np.concatenate([build_design_block(X2[:, j], fit_spec.m[j], fit_spec.centered[j])
+                        for j in J_fit], axis=1)
     d = A.shape[1]
     s = np.linalg.svd(A, compute_uv=False)
     if d > A.shape[0] or (d and s[-1] <= RANK_RTOL * s[0]):
@@ -114,6 +118,7 @@ def rate_experiment(cfg: dict, n_grid=None, reps=None, n_boot=200):
     reps = int(reps if reps is not None else cfg.get("reps", 10))
     if len(n_grid) < 3 or np.any(np.diff(n_grid) <= 0):
         raise AddselError("n_grid must be increasing with at least 3 points")
+    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "estimate"), centered=True)
     law = DesignLaw(kind=cfg.get("design.kind", "independent-uniform"),
                     r=cfg.get("design.r", 0.0), table=cfg.get("design.table"))
     density = make_density(law, cfg["q"])
@@ -122,11 +127,8 @@ def rate_experiment(cfg: dict, n_grid=None, reps=None, n_boot=200):
     children = np.random.SeedSequence(cfg["seed"]).spawn(len(n_grid) * reps)
     risks = np.full((len(n_grid), reps), np.nan)
     errors = 0
+    m_t = int(cfg["m_target"]) if cfg.get("m_target") else None
     for i, n in enumerate(n_grid):
-        m_sel = int(cfg.get("m_rule", "fixed:5").split(":", 1)[1]) \
-            if str(cfg.get("m_rule", "fixed:5")).startswith("fixed:") else 5
-        spec = BasisSpec.create(cfg["q"], m_sel, centered=True)
-        m_t = int(cfg["m_target"]) if cfg.get("m_target") else None
         for r in range(reps):
             rng = np.random.default_rng(children[i * reps + r])
             try:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, pi
 
@@ -258,12 +257,8 @@ def run_trials(cfg: dict):
         except AddselError as exc:
             return {"trial": i, "error": str(exc), "error_type": type(exc).__name__}
 
-    threads = int(cfg.get("threads", 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, range(trials)))
-    else:
-        records = [one(i) for i in range(trials)]
+    # trials run serially; cfg["threads"] is accepted and has no effect
+    records = [one(i) for i in range(trials)]
     ok = [r for r in records if "error" not in r]
     n_ok = len(ok)
     succ = sum(r["success"] for r in ok)

@@ -150,3 +150,52 @@ def test_population_gram_independent_means_once(density, monkeypatch):
                         lambda spec, density, j: calls.append(j) or original(spec, density, j))
     assert np.array_equal(population_gram(spec, density, range(4)), expected)
     assert calls == [0, 1, 2, 3]
+
+
+def _exactly_reduced_basis(ks, x):
+    """phi_k(x_i) with k x reduced mod 1 exactly in integers before the cos/sin."""
+    out = np.empty((len(x), len(ks)))
+    for i, xi in enumerate(x):
+        num, den = float(xi).as_integer_ratio()
+        for c, k in enumerate(ks):
+            r = (k // 2) * num % den / den  # one rounding, of a value in [0, 1)
+            trig = np.cos if k % 2 == 0 else np.sin
+            out[i, c] = 1.0 if k == 1 else np.sqrt(2.0) * trig(2.0 * np.pi * r)
+    return out
+
+
+def _kernel_points():
+    rng = np.random.default_rng(20)
+    return np.concatenate([rng.random(1000), [0.0, 0.25, 0.5, 1.0]])
+
+
+def test_basis_matrix_recurrence_matches_direct_evaluation():
+    # harmonics 1..64 by complex recurrence: within 1e-13 of the exactly
+    # reduced values (about 6e-14 at harmonic 64). eval_basis rounds its
+    # argument 2 pi k x and is itself off by about 1e-13 there, so the two
+    # evaluations are compared at twice that
+    x = _kernel_points()
+    ks = np.arange(1, 130)
+    B = basis_matrix(ks, x)
+    assert B.shape == (len(x), len(ks)) and B.flags["C_CONTIGUOUS"]
+    npt.assert_allclose(B, _exactly_reduced_basis(ks, x), rtol=0, atol=1e-13)
+    for c, k in enumerate(ks):
+        npt.assert_allclose(B[:, c], eval_basis(int(k), x), rtol=0, atol=2e-13,
+                            err_msg=f"column of phi_{k}")
+    # any order and subset of indices reads the same columns
+    perm = np.array([37, 2, 1, 128, 3, 64, 65, 9])
+    assert np.array_equal(basis_matrix(perm, x), B[:, perm - 1])
+
+
+def test_basis_matrix_first_harmonic_is_bitwise_direct():
+    x = _kernel_points()
+    direct = np.column_stack([np.ones_like(x), np.sqrt(2.0) * np.cos(2.0 * np.pi * x),
+                              np.sqrt(2.0) * np.sin(2.0 * np.pi * x)])
+    assert np.array_equal(basis_matrix([1, 2, 3], x), direct)
+    assert np.array_equal(basis_matrix(np.arange(1, 40), x)[:, :3], direct)
+    assert np.array_equal(basis_matrix([1], x), np.ones((len(x), 1)))
+
+
+def test_basis_matrix_empty_indices():
+    assert basis_matrix(np.arange(2, 2), np.linspace(0.0, 1.0, 7)).shape == (7, 0)
+    assert basis_matrix([], np.linspace(0.0, 1.0, 7)).shape == (7, 0)

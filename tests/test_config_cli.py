@@ -122,6 +122,31 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["geometry", "--config", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("command", ["geometry", "diagnose", "estimate"])
+def test_cli_refuses_eq7_outside_simulate(tmp_path, command):
+    # these commands have no eq7 level of their own; they used to run at m = 5
+    cfg = _write(tmp_path, SMALL + "m_rule = eq7\nn_grid = 100, 200, 400\nreps = 2\n")
+    out = str(tmp_path / "eq7.jsonl")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    manifest, record = _lines(out)
+    assert manifest["command"] == command
+    assert record["error"]["type"] == "ConfigError"
+    assert command in record["error"]["message"] and "eq7" in record["error"]["message"]
+
+
+def test_m_rule_parsed_in_one_place():
+    from addsel.config import fixed_m, parse_m_rule
+    assert parse_m_rule("eq7") is None
+    assert parse_m_rule("fixed:36") == 36
+    for bad in ("fixed:1", "fixed:x", "fixed5", "eq8"):
+        with pytest.raises(ConfigError):
+            parse_m_rule(bad)
+    assert fixed_m({"m_rule": "fixed:7"}, "geometry") == 7
+    assert fixed_m({}, "estimate") == 5
+    with pytest.raises(ConfigError, match="estimate"):
+        fixed_m({"m_rule": "eq7"}, "estimate")
+
+
 def test_cli_runtime_error_is_machine_readable(tmp_path):
     # infeasible signal level: every module raises a domain error -> exit 1
     cfg = _write(tmp_path, "alpha = 1\nK = 7\nkappa1 = 2\n")

@@ -113,3 +113,56 @@ def test_uniform_covariate_beside_a_table_matches_quadrature():
     npt.assert_allclose(_component_projection_coef(theta, spec, declared, 0),
                         _component_projection_coef(theta, spec, quadrature, 0),
                         rtol=0.0, atol=1e-12)
+
+
+def _reference_estimate(dataset, spec, qstar, sigma2, target, m_target):
+    """The refit as first written: all q second-half blocks, J_fit concatenated."""
+    from addsel import build_design_blocks, select_exhaustive
+    n = dataset.n // 2
+    chosen = select_exhaustive(Dataset(dataset.X[:n], dataset.Y[:n]), spec, qstar,
+                               sigma2).chosen
+    J_fit = tuple(sorted(set(chosen) | {target}))
+    m_fit = list(spec.m)
+    m_fit[target] = max(m_target, 2)
+    fit_spec = BasisSpec.create(spec.q, tuple(m_fit), centered=True)
+    A = build_design_blocks(dataset.X[n:], fit_spec).concat(J_fit)
+    coef, *_ = np.linalg.lstsq(A, dataset.Y[n:] / np.sqrt(n), rcond=None)
+    offset = sum(fit_spec.dim(j) for j in J_fit if j < target)
+    return coef[offset:offset + fit_spec.dim(target)], chosen
+
+
+def _tilted_on(j):
+    from addsel import TableDensity
+    return TableDensity(tables={j: 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)})
+
+
+@pytest.mark.parametrize("law", ["uniform", "table"])
+def test_estimate_component_refits_only_J_fit_bitwise(law, monkeypatch):
+    # building only J_fit's second-half blocks changes no bit of the fit, and
+    # builds |J_fit| blocks where the reference builds q
+    from addsel import estimate as estimate_mod
+    model = gen_model(q=6, s=2, alpha=2.0, Kbound=40.0, kappa1_target=1.0, seed=3,
+                      sigma=0.3)
+    target = model.J0[0]
+    density = UniformDensity() if law == "uniform" else \
+        _tilted_on(next(j for j in range(6) if j != target))
+    rng = np.random.default_rng(4)
+    X = density.sample(600, 6, rng)
+    ds = Dataset(X, gen_response(model, X, rng))
+    spec = BasisSpec.create(6, 5)
+    built = []
+    original = estimate_mod.build_design_block
+    monkeypatch.setattr(estimate_mod, "build_design_block",
+                        lambda xcol, m, centered: built.append(m) or original(xcol, m, centered))
+    est = estimate_component(ds, spec, 2, 0.09, target, m_target=7)
+    coef, chosen = _reference_estimate(ds, spec, 2, 0.09, target, 7)
+    assert est.selected == chosen
+    assert np.array_equal(est.coefficients, coef)
+    J_fit = sorted(set(chosen) | {target})
+    assert len(built) == len(J_fit) < spec.q
+    assert built == [7 if j == target else 5 for j in J_fit]
+    # second-half entries outside [0,1] are refused on covariates outside J_fit too
+    bad = X.copy()
+    bad[-1, next(j for j in range(6) if j not in J_fit)] = 1.5
+    with pytest.raises(AddselError, match=r"\[0,1\]"):
+        estimate_component(Dataset(bad, ds.Y), spec, 2, 0.09, target, m_target=7)
