@@ -4,8 +4,8 @@ from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, \
     eval_basis, full_block_gram, population_gram
 from .densities import Density, GaussianCopulaDensity, TableDensity, UniformDensity
 from .diagnostics import bennett_truncation_bound, check_cprime, chi2_tail_bounds, \
-    corollary_conditions, event_A_check, event_E_check, rip_constant, sample_subsets, \
-    selection_error_bound, subset_count_bound, truncation_residual_norm_sq
+    corollary_conditions, diagnose, event_A_check, event_E_check, rip_constant, \
+    sample_subsets, selection_error_bound, subset_count_bound, truncation_residual_norm_sq
 from .errors import AddselError, AssumptionError, BudgetError, ConfigError, \
     SingularBlockError
 from .estimate import ComponentEstimate, component_risk, default_m_target, \

@@ -11,11 +11,11 @@ import sys
 import numpy as np
 
 from . import diagnostics, geometry
-from .basis import BasisSpec, build_design_blocks, full_block_gram
+from .basis import BasisSpec
 from .config import fixed_m, load_config
 from .errors import AddselError, ConfigError
 from .estimate import rate_experiment
-from .simulate import DesignLaw, gen_model, make_density, run_trials
+from .simulate import density_from_config, model_from_config, run_trials
 
 ARTIFACT_VERSION = 1
 
@@ -63,20 +63,10 @@ def _manifest(args, cfg):
     }
 
 
-def _model_and_density(cfg):
-    law = DesignLaw(kind=cfg["design.kind"], r=cfg["design.r"],
-                    table=cfg.get("design.table"))
-    density = make_density(law, cfg["q"])
-    model = gen_model(cfg["q"], cfg["s"], cfg["alpha"], cfg["K"], cfg["kappa1"],
-                      tail_fraction=cfg["tail_fraction"], seed=cfg["seed"],
-                      sigma=cfg["sigma"])
-    return model, density
-
-
 def cmd_geometry(args, cfg, emit):
     spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "geometry"), centered=True)
-    model, density = _model_and_density(cfg)
-    report = geometry.geometry_report(spec, density, cfg["qstar"], model=model)
+    report = geometry.geometry_report(spec, density_from_config(cfg), cfg["qstar"],
+                                      model=model_from_config(cfg))
     emit(report.to_dict())
 
 
@@ -92,58 +82,7 @@ def cmd_estimate(args, cfg, emit):
 
 
 def cmd_diagnose(args, cfg, emit):
-    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "diagnose"), centered=True)
-    model, density = _model_and_density(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
-    X = density.sample(cfg["n"], cfg["q"], rng)
-    blocks = build_design_blocks(X, spec)
-    qstar = cfg["qstar"]
-    subsets = None
-    # the candidate sets J, the empty one included, that RIP and event E range over
-    n_subsets = geometry.count_subsets_up_to(cfg["q"], qstar, include_empty=True)
-    if geometry.count_subsets_up_to(cfg["q"], qstar) > 20000:
-        subsets = diagnostics.sample_subsets(cfg["q"], qstar, 2000, seed=cfg["seed"])
-        n_subsets = len(subsets)
-    delta_hat = diagnostics.rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
-    G_pop = None
-    if geometry.population_gram_is_identity(spec, density):
-        rho = 0.0
-    else:
-        G_pop, slices = full_block_gram(spec, density)
-        # the first k blocks hold every pair rho looks at (all q when not exchangeable)
-        k = geometry.representative_spec(spec, density, qstar).q
-        end = slices[k - 1].stop
-        rho = geometry.rho_from_gram(G_pop[:end, :end], slices[:k], qstar)
-    kappa, kappa_l = geometry.kappa_values(model, density)
-    if G_pop is None:
-        # P_U = I on every union U = J u J0, so E's normalized Gram is G_emp[U, U]
-        # and its largest deviation is the RIP constant over the same unions
-        max_dev = delta_hat
-    else:
-        _, max_dev = diagnostics.event_E_from_grams(
-            blocks.full_gram(), G_pop, slices, qstar, model.J0, cfg["delta"], subsets=subsets)
-    holds_A = diagnostics.event_A_check(X, model, spec, density, rho, kappa,
-                                        cfg["cprime"])
-    report = {
-        "delta_qstar": delta_hat,
-        "event_E_holds": {"delta": cfg["delta"], "holds": bool(max_dev <= cfg["delta"]),
-                          "max_deviation": max_dev},
-        "subset_collection": {"sampled": subsets is not None, "subsets": n_subsets},
-        "event_A_holds": bool(holds_A),
-        "rho": rho,
-        "kappa": kappa,
-        "kappa_l": list(kappa_l),
-        "cprime_admissible": diagnostics.check_cprime(cfg["delta"], cfg["cprime"]),
-    }
-    s = len(model.J0)
-    if s and kappa > 0 and diagnostics.check_cprime(cfg["delta"], cfg["cprime"]):
-        total, terms = diagnostics.selection_error_bound(
-            cfg["n"], cfg["sigma"] ** 2, rho, kappa_l[:s], d_l=[spec.d_l(l) for l in range(1, qstar + 1)],
-            s=s, qstar=qstar, q=cfg["q"], delta=cfg["delta"], cprime=cfg["cprime"],
-            return_terms=True)
-        report["selection_error_bound"] = total
-        report["bound_terms"] = terms
-    emit(report)
+    emit(diagnostics.diagnose(cfg))
 
 
 COMMANDS = {"geometry": cmd_geometry, "simulate": cmd_simulate,
@@ -170,8 +109,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.threads is not None:
-            cfg["threads"] = args.threads
     except ConfigError as exc:
         json.dump({"error": {"type": "ConfigError", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")

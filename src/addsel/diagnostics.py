@@ -8,10 +8,13 @@ import numpy as np
 
 from .basis import BasisSpec, DesignBlocks, basis_matrix, \
     build_design_blocks, full_block_gram
+from .config import fixed_m
 from .densities import Density
 from .errors import AssumptionError, BudgetError
-from .geometry import DEFAULT_BUDGET, EIG_FLOOR, count_subsets_up_to, \
+from .geometry import DEFAULT_BUDGET, EIG_FLOOR, count_subsets_up_to, kappa_values, \
+    population_gram_is_identity, representative_spec, rho_from_gram, \
     singular_gram_error, subsets_up_to
+from .simulate import density_from_config, model_from_config
 
 #: most principal submatrices stacked into one batched eigenvalue call; the
 #: stack and its LAPACK workspace stay a few MB instead of growing with the
@@ -145,10 +148,17 @@ def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float,
 def event_E_check(dataset, spec: BasisSpec, density: Density, qstar: int, J0,
                   delta: float, subsets=None, budget=DEFAULT_BUDGET):
     """(holds, max_deviation): uniform two-sided norm equivalence over all
-    candidate additive subspaces."""
-    G_emp = build_design_blocks(dataset.X, spec).full_gram()
+    candidate additive subspaces.
+
+    When the population Gram is the identity the deviation is the RIP
+    constant over the same unions, and no population Gram is built.
+    """
+    blocks = build_design_blocks(dataset.X, spec)
+    if population_gram_is_identity(spec, density):
+        worst = rip_constant(blocks, qstar, J0, subsets, budget)
+        return worst <= delta, worst
     G_pop, slices = full_block_gram(spec, density)
-    return event_E_from_grams(G_emp, G_pop, slices, qstar, J0, delta,
+    return event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar, J0, delta,
                               subsets, budget)
 
 
@@ -328,3 +338,66 @@ def corollary_conditions(n, sigma2, rho, kappa, kappa1, kappa_l, eps_s, d_l,
         s ** ((2.0 * alpha + 1.0) / (2.0 * alpha)) * log(q) ** 4 / kappa1 ** (1.0 / (2.0 * alpha)),
     ) <= c3 * n
     return out
+
+
+def diagnose(cfg: dict) -> dict:
+    """The ``diagnose`` report of a config: RIP constant, events E and A, rho,
+    kappa and, when c' is admissible, the selection error bound and its terms.
+
+    The design is drawn from the first child of ``cfg['seed']``, the model
+    from the seed itself. Above 20,000 candidate sets, RIP and event E range
+    over ``sample_subsets`` and ``subset_collection`` says so.
+    """
+    q, qstar, delta, cprime = cfg["q"], cfg["qstar"], cfg["delta"], cfg["cprime"]
+    spec = BasisSpec.create(q, fixed_m(cfg, "diagnose"), centered=True)
+    density = density_from_config(cfg)
+    model = model_from_config(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
+    X = density.sample(cfg["n"], q, rng)
+    blocks = build_design_blocks(X, spec)
+    subsets = None
+    # the candidate sets J, the empty one included, that RIP and event E range over
+    n_subsets = count_subsets_up_to(q, qstar, include_empty=True)
+    if count_subsets_up_to(q, qstar) > 20000:
+        subsets = sample_subsets(q, qstar, 2000, seed=cfg["seed"])
+        n_subsets = len(subsets)
+    delta_hat = rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
+    G_pop = None
+    if population_gram_is_identity(spec, density):
+        rho = 0.0
+    else:
+        G_pop, slices = full_block_gram(spec, density)
+        # the first k blocks hold every pair rho looks at (all q when not exchangeable)
+        k = representative_spec(spec, density, qstar).q
+        end = slices[k - 1].stop
+        rho = rho_from_gram(G_pop[:end, :end], slices[:k], qstar)
+    kappa, kappa_l = kappa_values(model, density)
+    if G_pop is None:
+        # P_U = I on every union U = J u J0, so E's normalized Gram is G_emp[U, U]
+        # and its largest deviation is the RIP constant over the same unions
+        max_dev = delta_hat
+    else:
+        _, max_dev = event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar,
+                                        model.J0, delta, subsets=subsets)
+    holds_A = event_A_check(X, model, spec, density, rho, kappa, cprime)
+    cprime_ok = check_cprime(delta, cprime)
+    report = {
+        "delta_qstar": delta_hat,
+        "event_E_holds": {"delta": delta, "holds": bool(max_dev <= delta),
+                          "max_deviation": max_dev},
+        "subset_collection": {"sampled": subsets is not None, "subsets": n_subsets},
+        "event_A_holds": bool(holds_A),
+        "rho": rho,
+        "kappa": kappa,
+        "kappa_l": list(kappa_l),
+        "cprime_admissible": cprime_ok,
+    }
+    s = len(model.J0)
+    if s and kappa > 0 and cprime_ok:
+        total, terms = selection_error_bound(
+            cfg["n"], cfg["sigma"] ** 2, rho, kappa_l[:s],
+            d_l=[spec.d_l(l) for l in range(1, qstar + 1)], s=s, qstar=qstar, q=q,
+            delta=delta, cprime=cprime, return_terms=True)
+        report["selection_error_bound"] = total
+        report["bound_terms"] = terms
+    return report

@@ -9,10 +9,10 @@ import numpy as np
 
 from .basis import QUAD_NODES_1D, BasisSpec, basis_matrix, build_design_block
 from .config import fixed_m
-from .densities import Density, UniformDensity
+from .densities import Density
 from .errors import AddselError
 from .selection import RANK_RTOL, Dataset, select_exhaustive
-from .simulate import AdditiveModel, DesignLaw, gen_model, gen_response, make_density
+from .simulate import AdditiveModel, density_from_config, gen_response, model_from_config
 
 
 @dataclass
@@ -119,9 +119,7 @@ def rate_experiment(cfg: dict, n_grid=None, reps=None, n_boot=200):
     if len(n_grid) < 3 or np.any(np.diff(n_grid) <= 0):
         raise AddselError("n_grid must be increasing with at least 3 points")
     spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "estimate"), centered=True)
-    law = DesignLaw(kind=cfg.get("design.kind", "independent-uniform"),
-                    r=cfg.get("design.r", 0.0), table=cfg.get("design.table"))
-    density = make_density(law, cfg["q"])
+    density = density_from_config(cfg)
     target = int(cfg.get("target", 0))
     alpha = float(cfg["alpha"])
     children = np.random.SeedSequence(cfg["seed"]).spawn(len(n_grid) * reps)
@@ -132,9 +130,7 @@ def rate_experiment(cfg: dict, n_grid=None, reps=None, n_boot=200):
         for r in range(reps):
             rng = np.random.default_rng(children[i * reps + r])
             try:
-                model = gen_model(cfg["q"], cfg["s"], alpha, cfg["K"], cfg["kappa1"],
-                                  tail_fraction=cfg.get("tail_fraction", 0.0),
-                                  sigma=cfg["sigma"], rng=rng)
+                model = model_from_config(cfg, rng)
                 if target not in model.J0:
                     # force the target active: relabel the first active covariate
                     J0 = list(model.J0)

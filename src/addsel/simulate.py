@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, pi
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix
+from .basis import BasisSpec, basis_matrix, full_block_gram
+from .config import DEFAULTS, parse_m_rule
 from .densities import Density, GaussianCopulaDensity, TableDensity, UniformDensity
 from .errors import AddselError, AssumptionError, ConfigError
-from .geometry import epsilon_constants, kappa_values, population_gram_is_identity, rho_qstar
+from .geometry import epsilons_from_gram, kappa_values, population_gram_is_identity, \
+    representative_spec, rho_from_gram
 from .selection import Dataset, select_exhaustive, select_greedy
 
 #: head-energy decay across frequencies in generated components
 HEAD_DECAY = 0.25
 #: maximal number of head frequencies
 HEAD_FREQS = 3
+#: the constant C_j of the eq7 truncation level (no config key sets it)
+EQ7_C = 1.0
 
 
 @dataclass
@@ -46,6 +50,13 @@ def make_density(law: DesignLaw, q: int | None = None) -> Density:
     # one table on each of the q covariates: the law is invariant under permutations
     density.exchangeable = q is not None
     return density
+
+
+def density_from_config(cfg: dict) -> Density:
+    """The covariate law of a config (``design.*`` keys) on its q covariates."""
+    law = DesignLaw(kind=cfg.get("design.kind", "independent-uniform"),
+                    r=cfg.get("design.r", 0.0), table=cfg.get("design.table"))
+    return make_density(law, cfg["q"])
 
 
 def gen_design(law: DesignLaw, n: int, q: int, seed) -> np.ndarray:
@@ -169,6 +180,13 @@ def gen_model(q, s, alpha, Kbound, kappa1_target, tail_fraction=0.0, seed=None,
                          Kbound=tuple(map(float, K_v)))
 
 
+def model_from_config(cfg: dict, rng=None) -> AdditiveModel:
+    """``gen_model`` on a config's shape, drawn from ``rng`` or else from ``cfg['seed']``."""
+    return gen_model(cfg["q"], cfg["s"], cfg["alpha"], cfg["K"], cfg["kappa1"],
+                     tail_fraction=cfg.get("tail_fraction", 0.0), seed=cfg["seed"],
+                     sigma=cfg["sigma"], rng=rng)
+
+
 def gen_response(model: AdditiveModel, X, seed) -> np.ndarray:
     """Y_i = sum_{j in J0} f_j(X_ij) + sigma * z_i with z i.i.d. standard normal."""
     X = np.asarray(X, dtype=float)
@@ -193,22 +211,17 @@ def m_lower_bound(Cj, Kj, qstar, eps_prime, cprime, rho, kappa, alpha_j) -> int:
 
 
 def _resolve_m(cfg, model, density, rho, eps_prime):
-    rule = cfg.get("m_rule", "fixed:5")
-    if rule.startswith("fixed:"):
-        return int(rule.split(":", 1)[1])
-    if rule != "eq7":
-        raise ConfigError(f"unknown m_rule {rule!r}")
+    m = parse_m_rule(cfg.get("m_rule", DEFAULTS["m_rule"]))
+    if m is not None:
+        return m
     kappa, _ = kappa_values(model, density)
-    return m_lower_bound(cfg.get("C", 1.0), cfg["K"], cfg["qstar"], eps_prime,
+    return m_lower_bound(EQ7_C, cfg["K"], cfg["qstar"], eps_prime,
                          cfg["cprime"], rho, kappa, cfg["alpha"])
 
 
-def run_single_trial(cfg, density, law, trial_index, child_seed, rho=0.0,
-                     eps_prime=0.0):
+def run_single_trial(cfg, density, trial_index, child_seed, rho=0.0, eps_prime=0.0):
     rng = np.random.default_rng(child_seed)
-    model = gen_model(cfg["q"], cfg["s"], cfg["alpha"], cfg["K"], cfg["kappa1"],
-                      tail_fraction=cfg.get("tail_fraction", 0.0),
-                      sigma=cfg["sigma"], rng=rng)
+    model = model_from_config(cfg, rng)
     m = _resolve_m(cfg, model, density, rho, eps_prime)
     spec = BasisSpec.create(cfg["q"], m, centered=True)
     X = density.sample(cfg["n"], cfg["q"], rng)
@@ -236,24 +249,25 @@ def run_single_trial(cfg, density, law, trial_index, child_seed, rho=0.0,
 def run_trials(cfg: dict):
     """Seeded selection trials; returns (records, summary).
 
-    Per-trial failures are recorded, never abort the batch. All randomness
+    Per-trial failures are recorded, never abort the batch; a malformed
+    ``m_rule`` raises ConfigError before the first trial. All randomness
     descends from cfg['seed'] via spawned child sequences.
     """
     trials = cfg["trials"]
-    law = DesignLaw(kind=cfg.get("design.kind", "independent-uniform"),
-                    r=cfg.get("design.r", 0.0),
-                    table=cfg.get("design.table"))
-    density = make_density(law, cfg["q"])
+    eq7 = parse_m_rule(cfg.get("m_rule", DEFAULTS["m_rule"])) is None
+    density = density_from_config(cfg)
     rho = eps_prime = 0.0
     probe = BasisSpec.create(cfg["q"], 6, centered=True)
-    if cfg.get("m_rule") == "eq7" and not population_gram_is_identity(probe, density):
-        rho = rho_qstar(probe, density, cfg["qstar"])
-        _, eps_prime = epsilon_constants(probe, density, cfg["qstar"])
+    if eq7 and not population_gram_is_identity(probe, density):
+        qstar = cfg["qstar"]
+        G, slices = full_block_gram(representative_spec(probe, density, qstar), density)
+        rho = rho_from_gram(G, slices, qstar)
+        _, eps_prime = epsilons_from_gram(G, slices, qstar)
     children = np.random.SeedSequence(cfg["seed"]).spawn(trials)
 
     def one(i):
         try:
-            return run_single_trial(cfg, density, law, i, children[i], rho, eps_prime)
+            return run_single_trial(cfg, density, i, children[i], rho, eps_prime)
         except AddselError as exc:
             return {"trial": i, "error": str(exc), "error_type": type(exc).__name__}
 

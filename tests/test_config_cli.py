@@ -198,12 +198,12 @@ WIDE = ("design.kind = independent-uniform\nn = 400\nq = 40\ns = 2\nqstar = 3\n"
 
 def test_cli_diagnose_uniform_takes_event_E_from_rip(tmp_path, monkeypatch):
     # P_U = I under the uniform law: no population Gram, no second union pass
-    from addsel import cli, diagnostics
+    from addsel import diagnostics
 
     def second_pass(*args, **kwargs):
         raise AssertionError("the uniform law needs no whitened pass")
 
-    monkeypatch.setattr(cli, "full_block_gram", second_pass)
+    monkeypatch.setattr(diagnostics, "full_block_gram", second_pass)
     monkeypatch.setattr(diagnostics, "event_E_from_grams", second_pass)
     out = str(tmp_path / "diag.jsonl")
     assert main(["diagnose", "--config", _write(tmp_path, WIDE), "--out", out]) == 0
@@ -239,3 +239,18 @@ def test_cli_diagnose_custom_density_still_whitens(tmp_path):
     _, report = _lines(out)
     assert abs(report["event_E_holds"]["max_deviation"] - report["delta_qstar"]) > 1e-3
     assert report["subset_collection"] == {"sampled": False, "subsets": 11}
+
+
+@pytest.mark.parametrize("law", ["uniform", "custom-density"])
+def test_diagnose_library_call_is_the_cli_report(tmp_path, law):
+    from addsel.cli import _Encoder
+    from addsel.diagnostics import diagnose
+    text = "n = 200\nq = 4\ns = 2\nqstar = 2\nm_rule = fixed:5\nseed = 3\n"
+    if law == "custom-density":
+        text = ("design.kind = custom-density\n"
+                f"design.table = {', '.join(repr(float(v)) for v in TABLE)}\n") + text
+    out = str(tmp_path / "diag.jsonl")
+    assert main(["diagnose", "--config", _write(tmp_path, text), "--out", out]) == 0
+    with open(out) as fh:
+        report_line = fh.read().splitlines()[1]
+    assert json.dumps(diagnose(parse_config(text)), cls=_Encoder, sort_keys=True) == report_line

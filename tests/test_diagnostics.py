@@ -8,7 +8,7 @@ from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset,
                     event_E_check, rip_constant, sample_subsets,
                     selection_error_bound, subset_count_bound,
                     truncation_residual_norm_sq)
-from addsel.basis import block_slices, build_design_blocks
+from addsel.basis import block_slices, build_design_blocks, full_block_gram
 from addsel.diagnostics import EIG_CHUNK, _union_collection, event_E_from_grams
 from addsel.errors import SingularBlockError
 from addsel.geometry import _inv_sqrt
@@ -143,6 +143,28 @@ def test_event_E_matches_rip_for_uniform_population():
     holds, dev = event_E_check(Dataset(X, Y), spec, UniformDensity(), 2, (0,), 0.9)
     assert holds
     npt.assert_allclose(dev, delta_full, rtol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_event_E_check_identity_law_builds_no_population_gram(seed, monkeypatch):
+    # the RIP pass stands in for the whitened pass on the quadrature Gram
+    from addsel import diagnostics
+    rng = np.random.default_rng(seed)
+    X = rng.random((200, 5))
+    spec = BasisSpec.create(5, 4)
+    G_pop, slices = full_block_gram(spec, UniformDensity())
+    G_emp = build_design_blocks(X, spec).full_gram()
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("the uniform law needs no population Gram")
+
+    monkeypatch.setattr(diagnostics, "full_block_gram", no_gram)
+    for J0 in [(), (1, 3)]:
+        _, expected = event_E_from_grams(G_emp, G_pop, slices, 2, J0, 0.5)
+        holds, dev = event_E_check(Dataset(X, np.zeros(200)), spec, UniformDensity(),
+                                   2, J0, 0.5)
+        assert abs(dev - expected) <= 1e-12
+        assert holds == (dev <= 0.5)
 
 
 def test_selection_error_bound_monotone_in_n():

@@ -133,6 +133,14 @@ def test_run_trials_eq7_rule():
     assert summary["completed"] == 2
 
 
+@pytest.mark.parametrize("rule", ["fixed:1", "fixed:x"])
+def test_run_trials_rejects_malformed_m_rule(rule):
+    # checked once before the first trial: no trials on zero-width blocks and
+    # no bare ValueError out of the batch
+    with pytest.raises(ConfigError, match="m_rule|truncation level"):
+        run_trials(_cfg(m_rule=rule))
+
+
 def test_decay_experiment_slopes():
     out = approximation_decay_experiment(2.0, 30.0, [8, 16, 32, 64], seed=0)
     # [PAPER-STYLE RATES] L2 truncation error ~ m^{-2 alpha}; the ell_1-based
@@ -159,7 +167,7 @@ def test_run_trials_eq7_custom_density_uses_population_rho(monkeypatch):
     table = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
     seen = []
 
-    def fake_trial(cfg, density, law, i, child, rho=0.0, eps_prime=0.0):
+    def fake_trial(cfg, density, i, child, rho=0.0, eps_prime=0.0):
         seen.append((rho, eps_prime))
         return {"trial": i, "success": True, "exact": True}
 
