@@ -8,9 +8,9 @@ untouched by the other q - 1 covariates.
 
 import numpy as np
 
-from addsel import (BasisSpec, Dataset, DesignLaw, component_risk,
-                    default_m_target, estimate_component, gen_design, gen_model,
-                    gen_response, rate_experiment)
+from addsel import (BasisSpec, Dataset, UniformDensity, component_risk,
+                    default_m_target, estimate_component, gen_model, gen_response,
+                    rate_experiment)
 
 
 def single_fit():
@@ -18,7 +18,7 @@ def single_fit():
     model = gen_model(q=4, s=2, alpha=2.0, Kbound=40.0, kappa1_target=1.0,
                       seed=2, sigma=0.4)
     target = model.J0[0]
-    X = gen_design(DesignLaw(), 1600, 4, seed=3)
+    X = UniformDensity().sample(1600, 4, np.random.default_rng(3))
     Y = gen_response(model, X, seed=4)
     spec = BasisSpec.create(4, 5)
     est = estimate_component(Dataset(X, Y), spec, 2, model.sigma ** 2, target)

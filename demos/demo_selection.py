@@ -8,15 +8,15 @@ greedy surrogate is a safe substitute for exhaustive search.
 
 import numpy as np
 
-from addsel import (BasisSpec, Dataset, DesignLaw, gen_design, gen_model,
-                    gen_response, run_trials, select_exhaustive, select_greedy)
+from addsel import (BasisSpec, Dataset, UniformDensity, gen_model, gen_response,
+                    run_trials, select_exhaustive, select_greedy)
 
 
 def single_run():
     print("=== one run, in detail ===")
     model = gen_model(q=6, s=2, alpha=2.0, Kbound=40.0, kappa1_target=1.0,
                       seed=3, sigma=0.4)
-    X = gen_design(DesignLaw(), 300, 6, seed=4)
+    X = UniformDensity().sample(300, 6, np.random.default_rng(4))
     Y = gen_response(model, X, seed=5)
     spec = BasisSpec.create(6, 5)
     res = select_exhaustive(Dataset(X, Y), spec, 2, model.sigma ** 2)
@@ -50,7 +50,7 @@ def greedy_vs_exhaustive():
     for t in range(trials):
         model = gen_model(q=10, s=2, alpha=2.0, Kbound=40.0, kappa1_target=1.0,
                           seed=100 + t, sigma=0.5)
-        X = gen_design(DesignLaw(), 250, 10, seed=200 + t)
+        X = UniformDensity().sample(250, 10, np.random.default_rng(200 + t))
         Y = gen_response(model, X, seed=300 + t)
         ds = Dataset(X, Y)
         spec = BasisSpec.create(10, 5)

@@ -15,8 +15,8 @@ from .geometry import GeometryReport, check_ric_chain, epsilon_constants, \
     population_projection_gap, rho_qstar, sup_norm_ratio, verify_angle_equivalence
 from .selection import Dataset, SelectionResult, empirical_projection_gap, project, \
     project_norm_sq, select_exhaustive, select_greedy
-from .simulate import AdditiveModel, DesignLaw, approximation_decay_experiment, \
-    gen_design, gen_model, gen_response, m_lower_bound, make_density, run_trials
+from .simulate import AdditiveModel, approximation_decay_experiment, density_from_config, \
+    gen_model, gen_response, m_lower_bound, run_trials
 
 __version__ = "0.1.0"
 

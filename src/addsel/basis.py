@@ -101,13 +101,8 @@ class BasisSpec:
         return int(sum(dims[:l]))
 
 
-def build_design_block(xcol, m: int, centered: bool, empirical_center: bool = False):
-    """n x dim(V_j) block with entries phi_k(x_i)/sqrt(n).
-
-    With ``empirical_center`` each column has its sample mean removed before
-    scaling (used for non-uniform marginals, where phi_k is not population
-    centered).
-    """
+def build_design_block(xcol, m: int, centered: bool):
+    """n x dim(V_j) block with entries phi_k(x_i)/sqrt(n)."""
     xcol = np.asarray(xcol, dtype=float)
     if xcol.ndim != 1 or len(xcol) == 0:
         raise AddselError("design column must be a nonempty 1-d array")
@@ -118,10 +113,7 @@ def build_design_block(xcol, m: int, centered: bool, empirical_center: bool = Fa
     n = len(xcol)
     start = 2 if centered else 1
     ks = np.arange(start, m + 1)
-    B = basis_matrix(ks, xcol)
-    if centered and empirical_center:
-        B -= B.mean(axis=0, keepdims=True)
-    return B / np.sqrt(n)
+    return basis_matrix(ks, xcol) / np.sqrt(n)
 
 
 def block_slices(dims):
@@ -184,15 +176,12 @@ class DesignBlocks:
         return self.full_gram()[np.ix_(c, c)]
 
 
-def build_design_blocks(X, spec: BasisSpec, empirical_center: bool = False) -> DesignBlocks:
+def build_design_blocks(X, spec: BasisSpec) -> DesignBlocks:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.q:
         raise AddselError(f"design matrix must be n x {spec.q}")
-    blocks = [
-        build_design_block(X[:, j], spec.m[j], spec.centered[j], empirical_center)
-        for j in range(spec.q)
-    ]
-    return DesignBlocks(blocks)
+    return DesignBlocks([build_design_block(X[:, j], spec.m[j], spec.centered[j])
+                         for j in range(spec.q)])
 
 
 def _quad_nodes(n):

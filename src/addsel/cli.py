@@ -89,16 +89,30 @@ COMMANDS = {"geometry": cmd_geometry, "simulate": cmd_simulate,
             "estimate": cmd_estimate, "diagnose": cmd_diagnose}
 
 
+def _finite(o):
+    """``o`` with every non-finite float, Python or numpy, replaced by None."""
+    if isinstance(o, dict):
+        return {k: _finite(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, set)):
+        return [_finite(v) for v in o]
+    if isinstance(o, np.ndarray):
+        return _finite(o.tolist())
+    if isinstance(o, (float, np.floating)) and not np.isfinite(o):
+        return None
+    return o
+
+
 class _Encoder(json.JSONEncoder):
+    """numpy-aware strict JSON: NaN and infinities are written as null."""
+
+    def iterencode(self, o, _one_shot=False):
+        return super().iterencode(_finite(o), _one_shot)
+
     def default(self, o):
         if isinstance(o, np.integer):
             return int(o)
         if isinstance(o, np.floating):
             return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (set, tuple)):
-            return list(o)
         return super().default(o)
 
 

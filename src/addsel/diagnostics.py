@@ -10,7 +10,7 @@ from .basis import BasisSpec, DesignBlocks, basis_matrix, \
     build_design_blocks, full_block_gram
 from .config import fixed_m
 from .densities import Density
-from .errors import AssumptionError, BudgetError
+from .errors import AssumptionError, BudgetError, ConfigError
 from .geometry import DEFAULT_BUDGET, EIG_FLOOR, count_subsets_up_to, kappa_values, \
     population_gram_is_identity, representative_spec, rho_from_gram, \
     singular_gram_error, subsets_up_to
@@ -346,8 +346,12 @@ def diagnose(cfg: dict) -> dict:
 
     The design is drawn from the first child of ``cfg['seed']``, the model
     from the seed itself. Above 20,000 candidate sets, RIP and event E range
-    over ``sample_subsets`` and ``subset_collection`` says so.
+    over ``sample_subsets`` and ``subset_collection`` says so. ConfigError
+    when s = 0, since kappa is undefined for an empty active set.
     """
+    if cfg["s"] < 1:
+        raise ConfigError("diagnose needs s >= 1: kappa is undefined for an empty "
+                          "active set")
     q, qstar, delta, cprime = cfg["q"], cfg["qstar"], cfg["delta"], cfg["cprime"]
     spec = BasisSpec.create(q, fixed_m(cfg, "diagnose"), centered=True)
     density = density_from_config(cfg)
@@ -393,7 +397,7 @@ def diagnose(cfg: dict) -> dict:
         "cprime_admissible": cprime_ok,
     }
     s = len(model.J0)
-    if s and kappa > 0 and cprime_ok:
+    if kappa > 0 and cprime_ok:
         total, terms = selection_error_bound(
             cfg["n"], cfg["sigma"] ** 2, rho, kappa_l[:s],
             d_l=[spec.d_l(l) for l in range(1, qstar + 1)], s=s, qstar=qstar, q=q,

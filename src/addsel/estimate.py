@@ -10,7 +10,7 @@ import numpy as np
 from .basis import QUAD_NODES_1D, BasisSpec, basis_matrix, build_design_block
 from .config import fixed_m
 from .densities import Density
-from .errors import AddselError
+from .errors import AddselError, ConfigError
 from .selection import RANK_RTOL, Dataset, select_exhaustive
 from .simulate import AdditiveModel, density_from_config, gen_response, model_from_config
 
@@ -113,7 +113,12 @@ def rate_experiment(cfg: dict, n_grid=None, reps=None, n_boot=200):
 
     Returns mean risks per n, the fitted log-log slope, and a bootstrap
     percentile band for the slope. Models are redrawn per repetition.
+    ConfigError when s = 0: the target is made active by relabelling an
+    active covariate.
     """
+    if cfg["s"] < 1:
+        raise ConfigError("estimate needs s >= 1: the target component is placed on "
+                          "an active covariate")
     n_grid = np.asarray(n_grid if n_grid is not None else cfg["n_grid"], dtype=int)
     reps = int(reps if reps is not None else cfg.get("reps", 10))
     if len(n_grid) < 3 or np.any(np.diff(n_grid) <= 0):

@@ -24,47 +24,26 @@ HEAD_FREQS = 3
 EQ7_C = 1.0
 
 
-@dataclass
-class DesignLaw:
-    """Covariate law: independent-uniform | gaussian-copula | custom-density."""
-
-    kind: str = "independent-uniform"
-    r: float = 0.0
-    table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("independent-uniform", "gaussian-copula", "custom-density"):
-            raise ConfigError(f"unknown design kind {self.kind!r}")
-        if self.kind == "gaussian-copula" and not -1.0 < self.r < 1.0:
-            raise ConfigError(f"copula correlation must satisfy |r| < 1, got {self.r}")
-        if self.kind == "custom-density" and self.table is None:
-            raise ConfigError("custom-density law requires a density table")
-
-
-def make_density(law: DesignLaw, q: int | None = None) -> Density:
-    if law.kind == "independent-uniform":
-        return UniformDensity()
-    if law.kind == "gaussian-copula":
-        return GaussianCopulaDensity(r=law.r)
-    density = TableDensity(tables={j: law.table for j in range(q or 1)})
-    # one table on each of the q covariates: the law is invariant under permutations
-    density.exchangeable = q is not None
-    return density
-
-
 def density_from_config(cfg: dict) -> Density:
-    """The covariate law of a config (``design.*`` keys) on its q covariates."""
-    law = DesignLaw(kind=cfg.get("design.kind", "independent-uniform"),
-                    r=cfg.get("design.r", 0.0), table=cfg.get("design.table"))
-    return make_density(law, cfg["q"])
+    """The covariate law of a config (``design.*`` keys) on its q covariates.
 
-
-def gen_design(law: DesignLaw, n: int, q: int, seed) -> np.ndarray:
-    """n i.i.d. rows in [0,1]^q; deterministic given seed."""
-    if n < 1 or q < 1:
-        raise AddselError("need n >= 1 and q >= 1")
-    rng = np.random.default_rng(seed)
-    return make_density(law, q).sample(n, q, rng)
+    This is the only place a ``design.kind`` becomes a Density. An unknown
+    kind, or ``custom-density`` without ``design.table``, raises ConfigError.
+    """
+    kind = cfg.get("design.kind", "independent-uniform")
+    if kind == "independent-uniform":
+        return UniformDensity()
+    if kind == "gaussian-copula":
+        return GaussianCopulaDensity(r=cfg.get("design.r", 0.0))
+    if kind != "custom-density":
+        raise ConfigError(f"unknown design kind {kind!r}")
+    table = cfg.get("design.table")
+    if table is None:
+        raise ConfigError("custom-density law requires a density table")
+    density = TableDensity(tables={j: table for j in range(cfg["q"])})
+    # one table on each of the q covariates: the law is invariant under permutations
+    density.exchangeable = True
+    return density
 
 
 @dataclass

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from addsel import (BasisSpec, Dataset, DesignLaw, GaussianCopulaDensity,
+from addsel import (BasisSpec, Dataset, GaussianCopulaDensity,
                     UniformDensity, approximation_decay_experiment,
                     chi2_tail_bounds, check_ric_chain, epsilon_constants,
                     event_E_check, m_lower_bound, phi_2qstar, rate_experiment,

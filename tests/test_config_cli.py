@@ -134,6 +134,57 @@ def test_cli_refuses_eq7_outside_simulate(tmp_path, command):
     assert command in record["error"]["message"] and "eq7" in record["error"]["message"]
 
 
+@pytest.mark.parametrize("command,module", [("estimate", "estimate"),
+                                            ("diagnose", "diagnostics")])
+def test_cli_refuses_empty_active_set_before_any_work(tmp_path, monkeypatch, command,
+                                                      module):
+    # estimate relabels an active covariate as the target and diagnose needs
+    # kappa, so both refuse s = 0 before building the law
+    import importlib
+
+    def no_work(cfg):
+        raise AssertionError("s = 0 must be refused before the law is built")
+
+    monkeypatch.setattr(importlib.import_module(f"addsel.{module}"),
+                        "density_from_config", no_work)
+    cfg = _write(tmp_path, SMALL.replace("s = 2", "s = 0") + "n_grid = 100, 200, 400\n")
+    out = str(tmp_path / "s0.jsonl")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    manifest, record = _lines(out)
+    assert manifest["command"] == command
+    assert record["error"]["type"] == "ConfigError"
+    assert command in record["error"]["message"] and "s >= 1" in record["error"]["message"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command,text", [
+    # kappa is undefined for an empty active set
+    ("geometry", SMALL.replace("s = 2", "s = 0")),
+    # an infeasible signal level fails every trial and every rep
+    ("simulate", SMALL + "alpha = 1\nK = 7\nkappa1 = 2\n"),
+    ("estimate", SMALL + "alpha = 1\nK = 7\nkappa1 = 2\nn_grid = 100, 200, 400\nreps = 2\n"),
+], ids=["geometry-s0", "simulate-infeasible", "estimate-infeasible"])
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_cli_artifacts_are_strict_json(tmp_path, command, text):
+    out = str(tmp_path / "strict.jsonl")
+    assert main([command, "--config", _write(tmp_path, text), "--out", out]) == 0
+    with open(out) as fh:
+        records = [json.loads(line, parse_constant=_reject_constant) for line in fh]
+    last = records[-1]
+    if command == "geometry":
+        assert last["kappa"] is None
+    elif command == "simulate":
+        summary = last["summary"]
+        assert summary["completed"] == 0
+        assert [summary[k] for k in ("success_rate", "exact_rate", "success_stderr",
+                                     "exact_stderr")] == [None] * 4
+    else:
+        assert last["mean_risk"] == [None] * 3 and last["degenerate"]
+
+
 def test_m_rule_parsed_in_one_place():
     from addsel.config import fixed_m, parse_m_rule
     assert parse_m_rule("eq7") is None
@@ -179,14 +230,14 @@ def test_cli_diagnose_custom_density_uses_population_rho(tmp_path):
     # independent but non-uniform marginals: the centered trig blocks are not
     # mean-zero, so rho is not 0 and must come from the population Gram
     from addsel import BasisSpec, rho_qstar
-    from addsel.simulate import DesignLaw, make_density
+    from addsel import density_from_config
     text = ("design.kind = custom-density\n"
             f"design.table = {', '.join(repr(float(v)) for v in TABLE)}\n"
             "n = 200\nq = 4\ns = 2\nqstar = 2\nm_rule = fixed:5\nseed = 3\n")
     out = str(tmp_path / "diag.jsonl")
     assert main(["diagnose", "--config", _write(tmp_path, text), "--out", out]) == 0
     _, report = _lines(out)
-    density = make_density(DesignLaw("custom-density", table=parse_config(text)["design.table"]), 4)
+    density = density_from_config(parse_config(text))
     expected = rho_qstar(BasisSpec.create(4, 5), density, 2)
     assert report["rho"] == expected
     assert abs(expected - 0.5517) < 1e-3

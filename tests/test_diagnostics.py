@@ -12,7 +12,7 @@ from addsel.basis import block_slices, build_design_blocks, full_block_gram
 from addsel.diagnostics import EIG_CHUNK, _union_collection, event_E_from_grams
 from addsel.errors import SingularBlockError
 from addsel.geometry import _inv_sqrt
-from addsel.simulate import AdditiveModel, gen_design, DesignLaw
+from addsel.simulate import AdditiveModel
 
 
 def test_chi2_tail_bounds_oracle():
@@ -109,7 +109,7 @@ def test_truncation_residual_uniform_oracle():
     # empirical norm converges to 0.09 under the uniform law
     model = _model_with_tail()
     spec = BasisSpec.create(3, 4)
-    X = gen_design(DesignLaw(), 40000, 3, seed=2)
+    X = UniformDensity().sample(40000, 3, np.random.default_rng(2))
     resid = truncation_residual_norm_sq(X, model, spec, UniformDensity())
     npt.assert_allclose(resid, 0.09, rtol=0.1)
 
@@ -117,7 +117,7 @@ def test_truncation_residual_uniform_oracle():
 def test_truncation_residual_zero_when_fully_captured():
     model = _model_with_tail()
     spec = BasisSpec.create(3, 7)  # keeps phi_2..phi_7, covers everything
-    X = gen_design(DesignLaw(), 500, 3, seed=3)
+    X = UniformDensity().sample(500, 3, np.random.default_rng(3))
     npt.assert_allclose(truncation_residual_norm_sq(X, model, spec, UniformDensity()),
                         0.0, atol=1e-20)
 
@@ -125,7 +125,7 @@ def test_truncation_residual_zero_when_fully_captured():
 def test_event_A_check_threshold():
     model = _model_with_tail()
     spec = BasisSpec.create(3, 4)
-    X = gen_design(DesignLaw(), 2000, 3, seed=4)
+    X = UniformDensity().sample(2000, 3, np.random.default_rng(4))
     kappa = 1.09  # total component energy
     assert event_A_check(X, model, spec, UniformDensity(), 0.0, kappa, cprime=0.1)
     assert not event_A_check(X, model, spec, UniformDensity(), 0.0, kappa, cprime=1e-4)

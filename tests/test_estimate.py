@@ -2,9 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from addsel import (AddselError, BasisSpec, Dataset, DesignLaw, UniformDensity,
-                    component_risk, default_m_target, estimate_component,
-                    gen_design, gen_model, gen_response, rate_experiment)
+from addsel import (AddselError, BasisSpec, Dataset, UniformDensity, component_risk,
+                    default_m_target, estimate_component, gen_model, gen_response,
+                    rate_experiment)
 from addsel.simulate import AdditiveModel
 
 
@@ -18,7 +18,7 @@ def test_default_m_target():
 def _setup(n2=800, sigma=0.2, seed=0):
     model = gen_model(q=4, s=2, alpha=2.0, Kbound=40.0, kappa1_target=1.0,
                       seed=seed, sigma=sigma)
-    X = gen_design(DesignLaw(), n2, 4, seed=seed + 1)
+    X = UniformDensity().sample(n2, 4, np.random.default_rng(seed + 1))
     Y = gen_response(model, X, seed=seed + 2)
     return model, Dataset(X, Y)
 

@@ -11,7 +11,7 @@ from addsel.geometry import (_inv_sqrt, count_disjoint_pairs, count_subsets_up_t
                              epsilons_from_gram, population_projection_gap,
                              representative_spec, rho_from_gram, subsets_up_to)
 from addsel.basis import block_columns, full_block_gram
-from addsel.simulate import AdditiveModel
+from addsel.simulate import AdditiveModel, density_from_config
 
 
 def test_min_angle_cos_planar_oracle():
@@ -298,8 +298,8 @@ def test_population_gram_is_identity_declared():
 def test_custom_density_law_reduction_is_bitwise_exact(q, qstar, m):
     # one table on every covariate: every diagonal block is one array and every
     # cross block one outer product of the same means
-    from addsel.simulate import DesignLaw, make_density
-    density = make_density(DesignLaw("custom-density", table=_TILT), q)
+    density = density_from_config({"design.kind": "custom-density", "design.table": _TILT,
+                                   "q": q})
     assert density.exchangeable
     spec = BasisSpec.create(q, m)
     assert representative_spec(spec, density, qstar).q == 2 * qstar
@@ -312,9 +312,6 @@ def test_custom_density_law_reduction_is_bitwise_exact(q, qstar, m):
 
 
 def test_tables_on_some_covariates_stay_non_exchangeable():
-    from addsel.simulate import DesignLaw, make_density
     assert not TableDensity(tables={0: _TILT, 1: _TILT}).exchangeable
-    # without q the builder cannot put a table on every covariate
-    assert not make_density(DesignLaw("custom-density", table=_TILT)).exchangeable
     spec = BasisSpec.create(5, 4)
     assert representative_spec(spec, TableDensity(tables={0: _TILT, 1: _TILT}), 1) is spec

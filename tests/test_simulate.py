@@ -2,41 +2,36 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from addsel import (AddselError, AssumptionError, ConfigError, DesignLaw,
-                    GaussianCopulaDensity, TableDensity, UniformDensity,
-                    approximation_decay_experiment, gen_design, gen_model,
-                    gen_response, m_lower_bound, make_density, run_trials)
+from addsel import (AddselError, AssumptionError, ConfigError, GaussianCopulaDensity,
+                    TableDensity, UniformDensity, approximation_decay_experiment,
+                    density_from_config, gen_model, gen_response, m_lower_bound,
+                    run_trials)
 
 
-def test_design_law_validation():
-    with pytest.raises(ConfigError):
-        DesignLaw(kind="mystery")
-    with pytest.raises(ConfigError):
-        DesignLaw(kind="gaussian-copula", r=1.5)
-    with pytest.raises(ConfigError):
-        DesignLaw(kind="custom-density")
+def test_density_from_config_rejects_unknown_kind_and_missing_table():
+    # raw library dicts skip config._validate; the law is checked where it is built
+    with pytest.raises(ConfigError, match="unknown design kind 'mystery'"):
+        density_from_config({"design.kind": "mystery", "q": 2})
+    with pytest.raises(ConfigError, match="requires a density table"):
+        density_from_config({"design.kind": "custom-density", "q": 2})
+    with pytest.raises(ConfigError, match=r"\|r\| < 1"):
+        density_from_config({"design.kind": "gaussian-copula", "design.r": 1.5, "q": 2})
 
 
-def test_make_density_dispatch():
-    assert isinstance(make_density(DesignLaw()), UniformDensity)
-    assert isinstance(make_density(DesignLaw(kind="gaussian-copula", r=0.3)),
-                      GaussianCopulaDensity)
+def test_density_from_config_dispatch():
+    assert isinstance(density_from_config({"q": 2}), UniformDensity)
+    copula = density_from_config({"design.kind": "gaussian-copula", "design.r": 0.3, "q": 2})
+    assert isinstance(copula, GaussianCopulaDensity) and copula.r == 0.3
     m = 64
     x = (np.arange(m) + 0.5) / m
     table = (1.0 + 0.2 * np.cos(2 * np.pi * x))
     table /= table.mean()
-    dens = make_density(DesignLaw(kind="custom-density", table=table), q=2)
+    dens = density_from_config({"design.kind": "custom-density", "design.table": table,
+                                "q": 3})
     assert isinstance(dens, TableDensity)
-    assert set(dens.tables) == {0, 1}
-
-
-def test_gen_design_deterministic():
-    X1 = gen_design(DesignLaw(), 50, 3, seed=42)
-    X2 = gen_design(DesignLaw(), 50, 3, seed=42)
-    npt.assert_array_equal(X1, X2)
-    assert X1.shape == (50, 3)
-    X3 = gen_design(DesignLaw(), 50, 3, seed=43)
-    assert np.abs(X1 - X3).max() > 1e-3
+    assert set(dens.tables) == {0, 1, 2}
+    # one table on every covariate: the law is declared exchangeable
+    assert dens.exchangeable and not dens.uniform_marginal(2)
 
 
 def test_gen_model_energy_and_sobolev():
@@ -68,7 +63,7 @@ def test_gen_model_tail_energy_within_budget():
 def test_gen_response_noise_scale():
     model = gen_model(q=3, s=1, alpha=2.0, Kbound=40.0, kappa1_target=1.0,
                       seed=2, sigma=0.5)
-    X = gen_design(DesignLaw(), 20000, 3, seed=3)
+    X = UniformDensity().sample(20000, 3, np.random.default_rng(3))
     Y = gen_response(model, X, seed=4)
     noise = Y - model.f_values(X)
     npt.assert_allclose(noise.std(), 0.5, rtol=0.05)
@@ -175,7 +170,7 @@ def test_run_trials_eq7_custom_density_uses_population_rho(monkeypatch):
     cfg = _cfg(q=4, m_rule="eq7", cprime=0.05, trials=2,
                **{"design.kind": "custom-density", "design.table": table})
     run_trials(cfg)
-    density = make_density(DesignLaw("custom-density", table=table), 4)
+    density = density_from_config(cfg)
     probe = BasisSpec.create(4, 6)
     expected = (rho_qstar(probe, density, 2), epsilon_constants(probe, density, 2)[1])
     assert seen == [expected, expected]
