@@ -10,9 +10,6 @@ def test_uniform_sampling_range_and_shape():
     X = UniformDensity().sample(100, 3, np.random.default_rng(0))
     assert X.shape == (100, 3)
     assert X.min() >= 0.0 and X.max() <= 1.0
-    # deterministic given the seed, and a different seed moves the draw
-    npt.assert_array_equal(UniformDensity().sample(100, 3, np.random.default_rng(0)), X)
-    assert np.abs(UniformDensity().sample(100, 3, np.random.default_rng(1)) - X).max() > 1e-3
 
 
 def test_copula_pair_pdf_integrates_to_one():

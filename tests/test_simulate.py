@@ -34,6 +34,16 @@ def test_density_from_config_dispatch():
     assert dens.exchangeable and not dens.uniform_marginal(2)
 
 
+def test_gen_design_deterministic():
+    law = density_from_config({"q": 3})
+    X1 = law.sample(50, 3, np.random.default_rng(42))
+    X2 = law.sample(50, 3, np.random.default_rng(42))
+    npt.assert_array_equal(X1, X2)
+    assert X1.shape == (50, 3)
+    X3 = law.sample(50, 3, np.random.default_rng(43))
+    assert np.abs(X1 - X3).max() > 1e-3
+
+
 def test_gen_model_energy_and_sobolev():
     model = gen_model(q=6, s=3, alpha=2.0, Kbound=40.0, kappa1_target=1.0, seed=0)
     assert len(model.J0) == 3
