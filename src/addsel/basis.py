@@ -101,6 +101,14 @@ class BasisSpec:
         return int(sum(dims[:l]))
 
 
+def trig_series(theta, x) -> np.ndarray:
+    """sum_i theta[i] phi_{i+2}(x): a centered component from its trig coefficients."""
+    theta = np.asarray(theta, dtype=float)
+    if len(theta) == 0:
+        return np.zeros(len(np.asarray(x)))
+    return basis_matrix(np.arange(2, len(theta) + 2), x) @ theta
+
+
 def build_design_block(xcol, m: int, centered: bool):
     """n x dim(V_j) block with entries phi_k(x_i)/sqrt(n)."""
     xcol = np.asarray(xcol, dtype=float)
@@ -184,33 +192,39 @@ def build_design_blocks(X, spec: BasisSpec) -> DesignBlocks:
                          for j in range(spec.q)])
 
 
-def _quad_nodes(n):
+def midpoint_nodes(n):
+    """The n midpoints (i + 1/2)/n of an even partition of [0,1]."""
     return (np.arange(n) + 0.5) / n
 
 
-def _marginal_block_gram(spec, density, j):
-    """dim V_j x dim V_j Gram of covariate j under its marginal density."""
-    t = _quad_nodes(QUAD_NODES_1D)
+def marginal_quadrature(density: Density, j: int):
+    """(t, p): the midpoint rule's QUAD_NODES_1D nodes and covariate j's marginal
+    pdf at them; ConfigError when the pdf does not integrate to 1 on them."""
+    t = midpoint_nodes(QUAD_NODES_1D)
     p = density.marginal_pdf(j, t)
     total = p.mean()
     if abs(total - 1.0) > 1e-6:
         raise ConfigError(
             f"marginal density of covariate {j} integrates to {total:.8f}, not 1"
         )
-    B = basis_matrix(spec.basis_indices(j), t)
-    return (B * p[:, None]).T @ B / QUAD_NODES_1D
+    return t, p
 
 
-def _marginal_means(spec, density, j):
-    t = _quad_nodes(QUAD_NODES_1D)
-    p = density.marginal_pdf(j, t)
-    B = basis_matrix(spec.basis_indices(j), t)
-    return (B * p[:, None]).mean(axis=0)
+def marginal_moments(ks, density: Density, j: int):
+    """(Gram, means) of phi_k(X_j), k in ks, under covariate j's marginal law.
+
+    One basis evaluation serves both: the Gram is E[phi_k phi_l] and the means
+    E[phi_k], which give the cross blocks of independent covariates.
+    """
+    t, p = marginal_quadrature(density, j)
+    B = basis_matrix(ks, t)
+    Bp = B * p[:, None]
+    return Bp.T @ B / QUAD_NODES_1D, Bp.mean(axis=0)
 
 
 def _cross_block_gram(spec, density, j1, j2):
     """Cross Gram of V_j1 and V_j2 under the pairwise joint density."""
-    t = _quad_nodes(QUAD_NODES_2D)
+    t = midpoint_nodes(QUAD_NODES_2D)
     W = density.pair_pdf(j1, j2, t, t) / (QUAD_NODES_2D ** 2)
     B1 = basis_matrix(spec.basis_indices(j1), t)
     B2 = basis_matrix(spec.basis_indices(j2), t)
@@ -227,13 +241,13 @@ def population_gram(spec: BasisSpec, density: Density, J) -> np.ndarray:
     d = sum(dims)
     G = np.zeros((d, d))
     sl = block_slices(dims)
-    # independent covariates: cross blocks are outer products of marginal means
-    means = [_marginal_means(spec, density, j) for j in J] if density.independent else None
+    moments = [marginal_moments(spec.basis_indices(j), density, j) for j in J]
     for a, j1 in enumerate(J):
-        G[sl[a], sl[a]] = _marginal_block_gram(spec, density, j1)
+        G[sl[a], sl[a]] = moments[a][0]
         for b in range(a + 1, len(J)):
-            if means is not None:
-                C = np.outer(means[a], means[b])
+            if density.independent:
+                # independent covariates: the cross block is the outer product of the means
+                C = np.outer(moments[a][1], moments[b][1])
             else:
                 C = _cross_block_gram(spec, density, j1, J[b])
             G[sl[a], sl[b]] = C

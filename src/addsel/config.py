@@ -10,7 +10,6 @@ _INT = ("n", "q", "s", "qstar", "trials", "seed", "threads", "target",
         "m_target", "reps")
 _FLOAT = ("sigma", "alpha", "K", "kappa1", "design.r", "cprime", "delta",
           "tail_fraction")
-_STR = ("design.kind", "m_rule", "search")
 
 DEFAULTS = {
     "n": 200,

@@ -6,14 +6,13 @@ from math import comb, exp, log, sqrt
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBlocks, basis_matrix, \
-    build_design_blocks, full_block_gram
+from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, \
+    full_block_gram, marginal_moments, trig_series
 from .config import fixed_m
 from .densities import Density
 from .errors import AssumptionError, BudgetError, ConfigError
 from .geometry import DEFAULT_BUDGET, EIG_FLOOR, count_subsets_up_to, kappa_values, \
-    population_gram_is_identity, representative_spec, rho_from_gram, \
-    singular_gram_error, subsets_up_to
+    population_gram_is_identity, rho_qstar, singular_gram_error, subsets_up_to
 from .simulate import density_from_config, model_from_config
 
 #: most principal submatrices stacked into one batched eigenvalue call; the
@@ -169,19 +168,14 @@ def truncation_residual_norm_sq(X, model, spec: BasisSpec, density: Density) -> 
     resid = np.zeros(n)
     for j in sorted(model.J0):
         theta = np.asarray(model.theta[j], dtype=float)
-        full_ks = np.arange(2, len(theta) + 2)
-        B = basis_matrix(full_ks, X[:, j])
-        f_vals = B @ theta
         proj_coef = _component_projection_coef(theta, spec, density, j)
         v_vals = basis_matrix(spec.basis_indices(j), X[:, j]) @ proj_coef
-        resid += f_vals - v_vals
+        resid += trig_series(theta, X[:, j]) - v_vals
     return float(resid @ resid) / n
 
 
 def _component_projection_coef(theta, spec, density, j):
     """Coefficients of Pi_{V_j} f_j in the V_j basis (population projection)."""
-    from .basis import QUAD_NODES_1D, _quad_nodes
-
     d = spec.dim(j)
     if d == 0:
         return np.zeros(0)
@@ -191,13 +185,11 @@ def _component_projection_coef(theta, spec, density, j):
         k = min(d, len(theta))
         out[:k] = theta[:k]
         return out
-    t = _quad_nodes(QUAD_NODES_1D)
-    p = density.marginal_pdf(j, t)
-    BV = basis_matrix(spec.basis_indices(j), t)
-    Bfull = basis_matrix(np.arange(2, len(theta) + 2), t)
-    GV = (BV * p[:, None]).T @ BV / QUAD_NODES_1D
-    cross = (BV * p[:, None]).T @ Bfull / QUAD_NODES_1D
-    return np.linalg.solve(GV, cross @ theta)
+    # one marginal Gram over V_j's indices and f_j's (phi_2 .. phi_{len(theta)+1})
+    ks = spec.basis_indices(j)
+    G, _ = marginal_moments(np.arange(ks[0], max(ks[-1], len(theta) + 1) + 1), density, j)
+    f = slice(2 - ks[0], len(theta) + 2 - ks[0])
+    return np.linalg.solve(G[:d, :d], G[:d, f] @ theta)
 
 
 def event_A_check(X, model, spec: BasisSpec, density: Density, rho: float,
@@ -248,8 +240,7 @@ def check_cprime(delta: float, cprime: float) -> bool:
 
 
 def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
-                          cprime, p_event_c=0.0, include_truncation=True,
-                          return_terms=False):
+                          cprime, p_event_c=0.0, return_terms=False):
     """Upper bound on P(J0 not within the selected set).
 
     Sums the proof-level exponential terms over the (l, m) grid of missed and
@@ -275,10 +266,9 @@ def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
     one_mr = 1.0 - rho * rho
     terms = {"p_event_c": float(p_event_c)}
     total = float(p_event_c)
-    if include_truncation:
-        trunc = exp(-3.0 * n / (16.0 * d_l[qstar - 1]))
-        terms["truncation"] = trunc
-        total += trunc
+    trunc = exp(-3.0 * n / (16.0 * d_l[qstar - 1]))
+    terms["truncation"] = trunc
+    total += trunc
     chi_sum = gauss1_sum = gauss2_sum = 0.0
     for l in range(1, s + 1):
         kl = kappa_l[l - 1]
@@ -304,8 +294,8 @@ def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
 
 
 def corollary_conditions(n, sigma2, rho, kappa, kappa1, kappa_l, eps_s, d_l,
-                         s, qstar, q, alpha, c3=1.0):
-    """Named sample-size conditions from the consistency corollaries."""
+                         s, qstar, q, alpha):
+    """Named sample-size conditions from the consistency corollaries, with c3 = 1."""
     d_l = np.asarray(d_l, dtype=float)
     kappa_l = np.asarray(kappa_l, dtype=float)
     one_mr = 1.0 - rho * rho
@@ -317,26 +307,26 @@ def corollary_conditions(n, sigma2, rho, kappa, kappa1, kappa_l, eps_s, d_l,
         sigma2 * sqrt(qstar * d_qstar * log(np.e * q / qstar)) / (one_mr * kappa),
         sigma2 * qstar * log(np.e * q / qstar) / (one_mr * kappa),
         d_qstar * log(q),
-    ) <= c3 * n
+    ) <= n
     out["corollary3"] = max(
         sigma2 * sqrt(d_1 * log(q)) / (one_mr * (1.0 - eps_s) * kappa1),
         sigma2 * log(q) / (one_mr * (1.0 - eps_s) * kappa1),
         d_s * log(q),
-    ) <= c3 * n
+    ) <= n
     cond14 = True
     for l in range(1, s + 1):
         cond14 &= max(
             sigma2 * sqrt(l * d_l[l - 1] * log(np.e * q / l)) / (one_mr * kappa_l[l - 1]),
             sigma2 * l * log(np.e * q / l) / (one_mr * kappa_l[l - 1]),
             d_s * log(q),
-        ) <= c3 * n
+        ) <= n
     out["condition14"] = bool(cond14)
     out["nonparametric18"] = max(
         sigma2 * s ** (1.0 / (4.0 * alpha)) * sqrt(log(q))
         / kappa1 ** ((4.0 * alpha + 1.0) / (4.0 * alpha)),
         sigma2 * log(q) / kappa1,
         s ** ((2.0 * alpha + 1.0) / (2.0 * alpha)) * log(q) ** 4 / kappa1 ** (1.0 / (2.0 * alpha)),
-    ) <= c3 * n
+    ) <= n
     return out
 
 
@@ -366,21 +356,14 @@ def diagnose(cfg: dict) -> dict:
         subsets = sample_subsets(q, qstar, 2000, seed=cfg["seed"])
         n_subsets = len(subsets)
     delta_hat = rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
-    G_pop = None
-    if population_gram_is_identity(spec, density):
-        rho = 0.0
-    else:
-        G_pop, slices = full_block_gram(spec, density)
-        # the first k blocks hold every pair rho looks at (all q when not exchangeable)
-        k = representative_spec(spec, density, qstar).q
-        end = slices[k - 1].stop
-        rho = rho_from_gram(G_pop[:end, :end], slices[:k], qstar)
+    rho = rho_qstar(spec, density, qstar)
     kappa, kappa_l = kappa_values(model, density)
-    if G_pop is None:
+    if population_gram_is_identity(spec, density):
         # P_U = I on every union U = J u J0, so E's normalized Gram is G_emp[U, U]
         # and its largest deviation is the RIP constant over the same unions
         max_dev = delta_hat
     else:
+        G_pop, slices = full_block_gram(spec, density)
         _, max_dev = event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar,
                                         model.J0, delta, subsets=subsets)
     holds_A = event_A_check(X, model, spec, density, rho, kappa, cprime)

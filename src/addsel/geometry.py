@@ -8,7 +8,8 @@ from math import ceil, comb, log2
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, block_columns, full_block_gram, population_gram
+from .basis import BasisSpec, basis_matrix, block_columns, block_slices, full_block_gram, \
+    midpoint_nodes, population_gram
 from .densities import Density
 from .errors import AssumptionError, BudgetError, SingularBlockError
 
@@ -101,8 +102,9 @@ def population_gram_is_identity(spec: BasisSpec, density: Density) -> bool:
 
     Independent Uniform[0,1] covariates make the trig system orthonormal on each
     block and, once phi_1 is left out (every block centered), mean-zero, so the
-    cross blocks vanish. rho is then 0 and the normalized Gram of event E on any
-    union is the empirical Gram itself.
+    cross blocks vanish. rho and eps are then exact zeros, which rho_qstar,
+    epsilon_constants and geometry_report return without quadrature noise, and
+    the normalized Gram of event E on any union is the empirical Gram itself.
     """
     return density.independent and density.uniform_marginals and all(spec.centered)
 
@@ -158,20 +160,20 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
 
 def rho_qstar(spec: BasisSpec, density: Density, qstar: int,
               budget=DEFAULT_BUDGET) -> float:
+    if population_gram_is_identity(spec, density):
+        return 0.0
     G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
     return rho_from_gram(G, slices, qstar, budget)
 
 
 def _normalized_eig_range(G, slices, J):
     """(lambda_min, lambda_max) of D_J^{-1/2} G_J D_J^{-1/2}."""
+    J = sorted(J)
     c = block_columns(slices, J)
     GJ = G[np.ix_(c, c)]
     W = np.zeros_like(GJ)
-    off = 0
-    for j in sorted(J):
-        d = slices[j].stop - slices[j].start
-        W[off:off + d, off:off + d] = _inv_sqrt(G[slices[j], slices[j]], f"block {j}")
-        off += d
+    for j, sl in zip(J, block_slices([slices[j].stop - slices[j].start for j in J])):
+        W[sl, sl] = _inv_sqrt(G[slices[j], slices[j]], f"block {j}")
     w = np.linalg.eigvalsh(W @ GJ @ W)
     return float(w[0]), float(w[-1])
 
@@ -194,6 +196,8 @@ def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
 
 def epsilon_constants(spec: BasisSpec, density: Density, qstar: int,
                       budget=DEFAULT_BUDGET):
+    if population_gram_is_identity(spec, density):
+        return 0.0, 0.0
     G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
     return epsilons_from_gram(G, slices, qstar, budget)
 
@@ -231,15 +235,14 @@ def kappa_values(model, density: Density):
         m[j] = len(model.theta[j]) + 1
     spec = BasisSpec.create(model.q, m, centered=True)
     G = population_gram(spec, density, J0)
-    dims = [spec.dim(j) for j in J0]
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    sl = block_slices([spec.dim(j) for j in J0])
     coef = np.concatenate([np.asarray(model.theta[j], dtype=float) for j in J0])
     kappa_l = np.full(s, np.inf)
     for r in range(1, s + 1):
         for sub in itertools.combinations(range(s), r):
             c = np.zeros_like(coef)
             for a in sub:
-                c[offs[a]:offs[a + 1]] = coef[offs[a]:offs[a + 1]]
+                c[sl[a]] = coef[sl[a]]
             kappa_l[r - 1] = min(kappa_l[r - 1], float(c @ G @ c))
     return float(kappa_l.min()), kappa_l
 
@@ -276,26 +279,23 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
     k = len(J)
     W = _inv_sqrt(G, f"V_J for J={J}")
     M = W @ W
-    x = (np.arange(g) + 0.5) / g
+    x = midpoint_nodes(g)
     Bs = [basis_matrix(spec.basis_indices(j), x) for j in J]
-    dims = [spec.dim(j) for j in J]
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    sl = block_slices([spec.dim(j) for j in J])
     # q(x) decomposes into per-axis diagonal terms and pairwise cross terms
     total = np.zeros((1,) * k)
     for a in range(k):
-        Ma = M[offs[a]:offs[a + 1], offs[a]:offs[a + 1]]
-        diag = np.einsum("gi,ij,gj->g", Bs[a], Ma, Bs[a])
+        diag = np.einsum("gi,ij,gj->g", Bs[a], M[sl[a], sl[a]], Bs[a])
         shape = [1] * k
         shape[a] = g
         total = total + diag.reshape(shape)
         for b in range(a + 1, k):
-            Mab = M[offs[a]:offs[a + 1], offs[b]:offs[b + 1]]
-            cross = Bs[a] @ Mab @ Bs[b].T
+            cross = Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T
             shape = [1] * k
             shape[a] = g
             shape[b] = g
             total = total + 2.0 * cross.reshape(shape)
-    return float(np.sqrt(total.max() / sum(dims)))
+    return float(np.sqrt(total.max() / sl[-1].stop))
 
 
 def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024,
@@ -357,13 +357,17 @@ def geometry_report(spec: BasisSpec, density: Density, qstar: int, model=None,
                     grid_size=512, budget=DEFAULT_BUDGET) -> GeometryReport:
     rep = representative_spec(spec, density, qstar)
     G, slices = full_block_gram(rep, density)
-    rho = rho_from_gram(G, slices, qstar, budget)
-    eps, eps_prime = epsilons_from_gram(G, slices, qstar, budget)
+    if population_gram_is_identity(spec, density):
+        _check_subset_budget(rep.q, min(2 * qstar, rep.q), budget)
+        rho = eps = eps_prime = 0.0
+    else:
+        rho = rho_from_gram(G, slices, qstar, budget)
+        eps, eps_prime = epsilons_from_gram(G, slices, qstar, budget)
     report = GeometryReport(qstar=qstar, rho_qstar=rho, eps_2qstar=eps,
                             eps_prime_qstar=eps_prime)
     if model is not None and len(model.J0) > 0:
         report.kappa, report.kappa_l = kappa_values(model, density)
-    # epsilons_from_gram has already checked the same subset count
+    # the subset count has been checked above, by epsilons_from_gram or directly
     report.phi_2qstar, report.phi_grid = _phi_from_gram(rep, G, slices, qstar,
                                                         grid_size, GRID_BUDGET)
     return report

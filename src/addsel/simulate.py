@@ -8,12 +8,11 @@ from math import ceil, pi
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, full_block_gram
+from .basis import BasisSpec, trig_series
 from .config import DEFAULTS, parse_m_rule
 from .densities import Density, GaussianCopulaDensity, TableDensity, UniformDensity
 from .errors import AddselError, AssumptionError, ConfigError
-from .geometry import epsilons_from_gram, kappa_values, population_gram_is_identity, \
-    representative_spec, rho_from_gram
+from .geometry import epsilon_constants, kappa_values, rho_qstar
 from .selection import Dataset, select_exhaustive, select_greedy
 
 #: head-energy decay across frequencies in generated components
@@ -22,6 +21,8 @@ HEAD_DECAY = 0.25
 HEAD_FREQS = 3
 #: the constant C_j of the eq7 truncation level (no config key sets it)
 EQ7_C = 1.0
+#: lowest frequency of the truncation tail gen_model adds when tail_fraction > 0
+TAIL_START = 64
 
 
 def density_from_config(cfg: dict) -> Density:
@@ -30,11 +31,11 @@ def density_from_config(cfg: dict) -> Density:
     This is the only place a ``design.kind`` becomes a Density. An unknown
     kind, or ``custom-density`` without ``design.table``, raises ConfigError.
     """
-    kind = cfg.get("design.kind", "independent-uniform")
+    kind = cfg.get("design.kind", DEFAULTS["design.kind"])
     if kind == "independent-uniform":
         return UniformDensity()
     if kind == "gaussian-copula":
-        return GaussianCopulaDensity(r=cfg.get("design.r", 0.0))
+        return GaussianCopulaDensity(r=cfg.get("design.r", DEFAULTS["design.r"]))
     if kind != "custom-density":
         raise ConfigError(f"unknown design kind {kind!r}")
     table = cfg.get("design.table")
@@ -66,10 +67,7 @@ class AdditiveModel:
         return len(self.J0)
 
     def component_values(self, j: int, x) -> np.ndarray:
-        theta = np.asarray(self.theta[j], dtype=float)
-        if len(theta) == 0:
-            return np.zeros(len(np.asarray(x)))
-        return basis_matrix(np.arange(2, len(theta) + 2), x) @ theta
+        return trig_series(self.theta[j], x)
 
     def f_values(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -98,12 +96,12 @@ def _sobolev_weights(freqs, alpha):
 
 
 def gen_model(q, s, alpha, Kbound, kappa1_target, tail_fraction=0.0, seed=None,
-              sigma=0.0, tail_start=64, rng=None) -> AdditiveModel:
+              sigma=0.0, rng=None) -> AdditiveModel:
     """Random sparse additive model inside the Sobolev ball.
 
     Each active component has uniform-density squared norm >= kappa1_target;
     when tail_fraction > 0, extra energy is placed at frequencies >=
-    tail_start (subject to the Sobolev budget) to create a truncation tail.
+    TAIL_START (subject to the Sobolev budget) to create a truncation tail.
     """
     if s > q:
         raise AddselError(f"need s <= q, got s={s}, q={q}")
@@ -138,7 +136,7 @@ def gen_model(q, s, alpha, Kbound, kappa1_target, tail_fraction=0.0, seed=None,
             coeffs[2 * i + 1] = np.sqrt(energy) * np.sin(ang)  # phi_{2k+1}
         th = coeffs  # indices: phi_2..phi_{2 nfreq + 1}
         if tail_fraction > 0.0:
-            tail_freqs = np.arange(tail_start, tail_start + 4)
+            tail_freqs = np.arange(TAIL_START, TAIL_START + 4)
             w_tail = _sobolev_weights(tail_freqs, a)
             budget = max(K ** 2 - sob, 0.0)
             tail_energy = min(tail_fraction * kappa1_target,
@@ -162,8 +160,8 @@ def gen_model(q, s, alpha, Kbound, kappa1_target, tail_fraction=0.0, seed=None,
 def model_from_config(cfg: dict, rng=None) -> AdditiveModel:
     """``gen_model`` on a config's shape, drawn from ``rng`` or else from ``cfg['seed']``."""
     return gen_model(cfg["q"], cfg["s"], cfg["alpha"], cfg["K"], cfg["kappa1"],
-                     tail_fraction=cfg.get("tail_fraction", 0.0), seed=cfg["seed"],
-                     sigma=cfg["sigma"], rng=rng)
+                     tail_fraction=cfg.get("tail_fraction", DEFAULTS["tail_fraction"]),
+                     seed=cfg["seed"], sigma=cfg["sigma"], rng=rng)
 
 
 def gen_response(model: AdditiveModel, X, seed) -> np.ndarray:
@@ -207,7 +205,7 @@ def run_single_trial(cfg, density, trial_index, child_seed, rho=0.0, eps_prime=0
     Y = gen_response(model, X, rng)
     dataset = Dataset(X, Y)
     sigma2 = cfg["sigma"] ** 2
-    if cfg.get("search", "exhaustive") == "greedy":
+    if cfg.get("search", DEFAULTS["search"]) == "greedy":
         result = select_greedy(dataset, spec, cfg["qstar"], sigma2)
     else:
         result = select_exhaustive(dataset, spec, cfg["qstar"], sigma2)
@@ -236,12 +234,10 @@ def run_trials(cfg: dict):
     eq7 = parse_m_rule(cfg.get("m_rule", DEFAULTS["m_rule"])) is None
     density = density_from_config(cfg)
     rho = eps_prime = 0.0
-    probe = BasisSpec.create(cfg["q"], 6, centered=True)
-    if eq7 and not population_gram_is_identity(probe, density):
-        qstar = cfg["qstar"]
-        G, slices = full_block_gram(representative_spec(probe, density, qstar), density)
-        rho = rho_from_gram(G, slices, qstar)
-        _, eps_prime = epsilons_from_gram(G, slices, qstar)
+    if eq7:
+        probe = BasisSpec.create(cfg["q"], 6, centered=True)
+        rho = rho_qstar(probe, density, cfg["qstar"])
+        _, eps_prime = epsilon_constants(probe, density, cfg["qstar"])
     children = np.random.SeedSequence(cfg["seed"]).spawn(trials)
 
     def one(i):

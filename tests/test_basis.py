@@ -131,25 +131,47 @@ def test_table_density_must_normalize():
 ])
 def test_population_gram_independent_means_once(density, monkeypatch):
     # cross blocks of independent covariates are outer products of the
-    # marginal means; each block's means are computed once, not per pair
+    # marginal means; each block's Gram and means come from one evaluation,
+    # made once per block, not per pair
     from addsel import basis
     spec = BasisSpec.create(4, (5, 3, 6, 4))
+    moments = [basis.marginal_moments(spec.basis_indices(j), density, j) for j in range(4)]
     expected = np.zeros((14, 14))
     sl = basis.block_slices([spec.dim(j) for j in range(4)])
     for a in range(4):
-        expected[sl[a], sl[a]] = basis._marginal_block_gram(spec, density, a)
+        expected[sl[a], sl[a]] = moments[a][0]
         for b in range(a + 1, 4):
-            C = np.outer(basis._marginal_means(spec, density, a),
-                         basis._marginal_means(spec, density, b))
+            C = np.outer(moments[a][1], moments[b][1])
             expected[sl[a], sl[b]] = C
             expected[sl[b], sl[a]] = C.T
     expected = 0.5 * (expected + expected.T)
     calls = []
-    original = basis._marginal_means
-    monkeypatch.setattr(basis, "_marginal_means",
-                        lambda spec, density, j: calls.append(j) or original(spec, density, j))
+    original = basis.marginal_moments
+    monkeypatch.setattr(basis, "marginal_moments",
+                        lambda ks, density, j: calls.append(j) or original(ks, density, j))
     assert np.array_equal(population_gram(spec, density, range(4)), expected)
     assert calls == [0, 1, 2, 3]
+
+
+def test_marginal_moments_match_separate_quadratures():
+    # the Gram and the means of one evaluation equal the two integrals taken
+    # apart, and a density that does not integrate to 1 is refused
+    from addsel.basis import QUAD_NODES_1D, marginal_moments, midpoint_nodes
+    tilt = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    dens = TableDensity(tables={0: tilt})
+    t = midpoint_nodes(QUAD_NODES_1D)
+    p = dens.marginal_pdf(0, t)
+    B = basis_matrix(np.arange(2, 7), t)
+    G, means = marginal_moments(np.arange(2, 7), dens, 0)
+    assert np.array_equal(G, (B * p[:, None]).T @ B / QUAD_NODES_1D)
+    assert np.array_equal(means, (B * p[:, None]).mean(axis=0))
+
+    class Heavy(UniformDensity):
+        def marginal_pdf(self, j, x):
+            return np.full(len(x), 1.01)
+
+    with pytest.raises(ConfigError, match="integrates to"):
+        marginal_moments(np.arange(2, 7), Heavy(), 0)
 
 
 def _exactly_reduced_basis(ks, x):

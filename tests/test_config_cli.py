@@ -167,7 +167,7 @@ def _reject_constant(name):
     ("simulate", SMALL + "alpha = 1\nK = 7\nkappa1 = 2\n"),
     ("estimate", SMALL + "alpha = 1\nK = 7\nkappa1 = 2\nn_grid = 100, 200, 400\nreps = 2\n"),
 ], ids=["geometry-s0", "simulate-infeasible", "estimate-infeasible"])
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+@pytest.mark.filterwarnings("error:Mean of empty slice")
 def test_cli_artifacts_are_strict_json(tmp_path, command, text):
     out = str(tmp_path / "strict.jsonl")
     assert main([command, "--config", _write(tmp_path, text), "--out", out]) == 0
@@ -183,6 +183,17 @@ def test_cli_artifacts_are_strict_json(tmp_path, command, text):
                                      "exact_stderr")] == [None] * 4
     else:
         assert last["mean_risk"] == [None] * 3 and last["degenerate"]
+
+
+def test_cli_geometry_uniform_law_writes_exact_zeros(tmp_path):
+    # the uniform law's population Gram is the identity: rho and both eps are
+    # 0 exactly, not the ~1e-15 a quadrature Gram leaves
+    text = "q = 5\ns = 0\nqstar = 2\nm_rule = fixed:4\n"
+    out = str(tmp_path / "geo.jsonl")
+    assert main(["geometry", "--config", _write(tmp_path, text), "--out", out]) == 0
+    report = _lines(out)[-1]
+    assert [report[k] for k in ("rho_qstar", "eps_2qstar", "eps_prime_qstar")] == [0.0] * 3
+    assert report["phi_2qstar"] >= 1.0
 
 
 def test_m_rule_parsed_in_one_place():

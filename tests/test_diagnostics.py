@@ -122,6 +122,28 @@ def test_truncation_residual_zero_when_fully_captured():
                         0.0, atol=1e-20)
 
 
+@pytest.mark.parametrize("m,centered", [(3, True), (5, False), (9, True), (9, False)])
+def test_component_projection_under_a_table_is_orthogonal(m, centered):
+    # [DERIVED] Pi_{V_j} f_j leaves a residual orthogonal to V_j in L2(p_j); when
+    # V_j spans f_j's basis functions the projection is f_j itself
+    from addsel import TableDensity, basis_matrix
+    from addsel.basis import marginal_quadrature, trig_series
+    from addsel.diagnostics import _component_projection_coef
+    tilt = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    dens = TableDensity(tables={0: tilt})
+    theta = np.array([1.0, -0.4, 0.3, 0.0, 0.2, 0.1])  # phi_2 .. phi_7
+    spec = BasisSpec.create(1, m, centered=centered)
+    coef = _component_projection_coef(theta, spec, dens, 0)
+    t, p = marginal_quadrature(dens, 0)
+    B = basis_matrix(spec.basis_indices(0), t)
+    resid = trig_series(theta, t) - B @ coef
+    npt.assert_allclose((B * p[:, None]).T @ resid / len(t), 0.0, atol=1e-12)
+    if m >= 7:
+        full = np.zeros(spec.dim(0))
+        full[2 - spec.basis_indices(0)[0]:][:len(theta)] = theta
+        npt.assert_allclose(coef, full, atol=1e-12)
+
+
 def test_event_A_check_threshold():
     model = _model_with_tail()
     spec = BasisSpec.create(3, 4)

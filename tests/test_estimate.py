@@ -4,7 +4,7 @@ import pytest
 
 from addsel import (AddselError, BasisSpec, Dataset, UniformDensity, component_risk,
                     default_m_target, estimate_component, gen_model, gen_response,
-                    rate_experiment)
+                    rate_experiment, select_exhaustive)
 from addsel.simulate import AdditiveModel
 
 
@@ -61,6 +61,20 @@ def test_estimate_rank_deficiency_error():
     with pytest.raises(AddselError, match="rank"):
         estimate_component(ds, BasisSpec.create(4, 5), 2, 0.04, model.J0[0],
                            m_target=60)
+
+
+def test_estimate_rank_deficiency_with_fewer_columns_than_rows():
+    # covariate 1 is a copy of covariate 0, which carries the signal: selection
+    # keeps 0 and the target 1 joins it, so J_fit holds two identical blocks
+    # (8 columns, 200 rows) and the refit must refuse the collinear design
+    rng = np.random.default_rng(3)
+    X = UniformDensity().sample(400, 3, rng)
+    X[:, 1] = X[:, 0]
+    Y = np.sqrt(2.0) * np.cos(2 * np.pi * X[:, 0]) + 0.1 * rng.standard_normal(400)
+    spec = BasisSpec.create(3, 5)
+    assert 0 in select_exhaustive(Dataset(X[:200], Y[:200]), spec, 2, 0.01).chosen
+    with pytest.raises(AddselError, match="rank deficient"):
+        estimate_component(Dataset(X, Y), spec, 2, 0.01, target=1, m_target=5)
 
 
 def test_component_risk_uniform_parseval():
