@@ -66,31 +66,27 @@ def basis_matrix(ks, x):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Per-covariate truncation levels and centering convention.
+    """Per-covariate truncation levels.
 
-    ``m[j] >= 1``; the space V_j is spanned by phi_2..phi_{m_j} when centered
-    (dimension m_j - 1) and by phi_1..phi_{m_j} otherwise (dimension m_j).
+    ``m[j] >= 1``; the space V_j is spanned by phi_2..phi_{m_j} (dimension
+    m_j - 1). Leaving phi_1 = 1 out of every block keeps the V_j a direct sum.
     """
 
     q: int
     m: tuple
-    centered: tuple
 
     @staticmethod
-    def create(q: int, m, centered=True) -> "BasisSpec":
+    def create(q: int, m) -> "BasisSpec":
         m_arr = np.broadcast_to(np.asarray(m, dtype=int), (q,))
         if np.any(m_arr < 1):
             raise ConfigError("all truncation levels m_j must be >= 1")
-        cent = np.broadcast_to(np.asarray(centered, dtype=bool), (q,))
-        return BasisSpec(q=q, m=tuple(int(v) for v in m_arr),
-                         centered=tuple(bool(v) for v in cent))
+        return BasisSpec(q=q, m=tuple(int(v) for v in m_arr))
 
     def dim(self, j: int) -> int:
-        return self.m[j] - 1 if self.centered[j] else self.m[j]
+        return self.m[j] - 1
 
     def basis_indices(self, j: int):
-        start = 2 if self.centered[j] else 1
-        return np.arange(start, self.m[j] + 1)
+        return np.arange(2, self.m[j] + 1)
 
     def d_J(self, J) -> int:
         return int(sum(self.dim(j) for j in J))
@@ -102,15 +98,15 @@ class BasisSpec:
 
 
 def trig_series(theta, x) -> np.ndarray:
-    """sum_i theta[i] phi_{i+2}(x): a centered component from its trig coefficients."""
+    """sum_i theta[i] phi_{i+2}(x): a component from its trig coefficients (no phi_1)."""
     theta = np.asarray(theta, dtype=float)
     if len(theta) == 0:
         return np.zeros(len(np.asarray(x)))
     return basis_matrix(np.arange(2, len(theta) + 2), x) @ theta
 
 
-def build_design_block(xcol, m: int, centered: bool):
-    """n x dim(V_j) block with entries phi_k(x_i)/sqrt(n)."""
+def build_design_block(xcol, m: int):
+    """n x (m - 1) block with entries phi_k(x_i)/sqrt(n), k = 2..m."""
     xcol = np.asarray(xcol, dtype=float)
     if xcol.ndim != 1 or len(xcol) == 0:
         raise AddselError("design column must be a nonempty 1-d array")
@@ -118,10 +114,7 @@ def build_design_block(xcol, m: int, centered: bool):
         raise AddselError("design entries must lie in [0,1]")
     if m < 1:
         raise AddselError(f"truncation level must be >= 1, got {m}")
-    n = len(xcol)
-    start = 2 if centered else 1
-    ks = np.arange(start, m + 1)
-    return basis_matrix(ks, xcol) / np.sqrt(n)
+    return basis_matrix(np.arange(2, m + 1), xcol) / np.sqrt(len(xcol))
 
 
 def block_slices(dims):
@@ -188,8 +181,7 @@ def build_design_blocks(X, spec: BasisSpec) -> DesignBlocks:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.q:
         raise AddselError(f"design matrix must be n x {spec.q}")
-    return DesignBlocks([build_design_block(X[:, j], spec.m[j], spec.centered[j])
-                         for j in range(spec.q)])
+    return DesignBlocks([build_design_block(X[:, j], spec.m[j]) for j in range(spec.q)])
 
 
 def midpoint_nodes(n):

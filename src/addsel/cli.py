@@ -64,7 +64,7 @@ def _manifest(args, cfg):
 
 
 def cmd_geometry(args, cfg, emit):
-    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "geometry"), centered=True)
+    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "geometry"))
     report = geometry.geometry_report(spec, density_from_config(cfg), cfg["qstar"],
                                       model=model_from_config(cfg))
     emit(report.to_dict())
@@ -123,12 +123,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        try:
+            out = open(args.out, "w") if args.out else sys.stdout
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {args.out}: {exc}") from exc
     except ConfigError as exc:
         json.dump({"error": {"type": "ConfigError", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-
-    out = open(args.out, "w") if args.out else sys.stdout
 
     def emit(obj):
         json.dump(obj, out, cls=_Encoder, sort_keys=True)

@@ -19,8 +19,8 @@ class Density:
     """Base class: independent uniform marginals unless overridden."""
 
     independent = True
-    #: every marginal is Uniform[0,1]; with ``independent`` the centered trig
-    #: blocks are then orthogonal, so rho = 0
+    #: every marginal is Uniform[0,1]; with ``independent`` the trig blocks,
+    #: which leave phi_1 out, are then orthogonal, so rho = 0
     uniform_marginals = True
     #: the law of X is invariant under permutations of the covariates; with
     #: equal truncation levels, subsets then differ only by their labels
@@ -59,6 +59,10 @@ class GaussianCopulaDensity(Density):
     """
 
     r: float
+    #: (u, v, pdf) of the last grid pair: every pair of covariates shares one
+    #: copula, so repeated calls on one quadrature grid reuse it
+    _pair_cache: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     independent = False
     uniform_marginals = True
@@ -75,17 +79,17 @@ class GaussianCopulaDensity(Density):
         r = self.r
         if r == 0.0:
             return np.ones((len(u), len(v)))
-        # all pairs share one copula; cache the common quadrature grid
-        key = (len(u), float(u[0]), len(v), float(v[0]))
-        cache = getattr(self, "_pair_cache", None)
-        if cache is not None and cache[0] == key:
-            return cache[1]
-        z = ndtri(np.asarray(u, dtype=float))
-        w = ndtri(np.asarray(v, dtype=float))
+        u = np.array(u, dtype=float)
+        v = np.array(v, dtype=float)
+        cache = self._pair_cache
+        if cache is not None and np.array_equal(cache[0], u) and np.array_equal(cache[1], v):
+            return cache[2]
+        z = ndtri(u)
+        w = ndtri(v)
         zz, ww = np.meshgrid(z, w, indexing="ij")
         expo = -(r * r * (zz * zz + ww * ww) - 2.0 * r * zz * ww) / (2.0 * (1.0 - r * r))
         out = np.exp(expo) / np.sqrt(1.0 - r * r)
-        object.__setattr__(self, "_pair_cache", (key, out))
+        self._pair_cache = (u, v, out)
         return out
 
     def sample(self, n, q, rng):

@@ -145,7 +145,7 @@ def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float,
 
 
 def event_E_check(dataset, spec: BasisSpec, density: Density, qstar: int, J0,
-                  delta: float, subsets=None, budget=DEFAULT_BUDGET):
+                  delta: float):
     """(holds, max_deviation): uniform two-sided norm equivalence over all
     candidate additive subspaces.
 
@@ -153,12 +153,11 @@ def event_E_check(dataset, spec: BasisSpec, density: Density, qstar: int, J0,
     constant over the same unions, and no population Gram is built.
     """
     blocks = build_design_blocks(dataset.X, spec)
-    if population_gram_is_identity(spec, density):
-        worst = rip_constant(blocks, qstar, J0, subsets, budget)
+    if population_gram_is_identity(density):
+        worst = rip_constant(blocks, qstar, J0)
         return worst <= delta, worst
     G_pop, slices = full_block_gram(spec, density)
-    return event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar, J0, delta,
-                              subsets, budget)
+    return event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar, J0, delta)
 
 
 def truncation_residual_norm_sq(X, model, spec: BasisSpec, density: Density) -> float:
@@ -185,11 +184,9 @@ def _component_projection_coef(theta, spec, density, j):
         k = min(d, len(theta))
         out[:k] = theta[:k]
         return out
-    # one marginal Gram over V_j's indices and f_j's (phi_2 .. phi_{len(theta)+1})
-    ks = spec.basis_indices(j)
-    G, _ = marginal_moments(np.arange(ks[0], max(ks[-1], len(theta) + 1) + 1), density, j)
-    f = slice(2 - ks[0], len(theta) + 2 - ks[0])
-    return np.linalg.solve(G[:d, :d], G[:d, f] @ theta)
+    # one marginal Gram from phi_2 on, over V_j's indices and f_j's
+    G, _ = marginal_moments(np.arange(2, max(d, len(theta)) + 2), density, j)
+    return np.linalg.solve(G[:d, :d], G[:d, :len(theta)] @ theta)
 
 
 def event_A_check(X, model, spec: BasisSpec, density: Density, rho: float,
@@ -343,7 +340,7 @@ def diagnose(cfg: dict) -> dict:
         raise ConfigError("diagnose needs s >= 1: kappa is undefined for an empty "
                           "active set")
     q, qstar, delta, cprime = cfg["q"], cfg["qstar"], cfg["delta"], cfg["cprime"]
-    spec = BasisSpec.create(q, fixed_m(cfg, "diagnose"), centered=True)
+    spec = BasisSpec.create(q, fixed_m(cfg, "diagnose"))
     density = density_from_config(cfg)
     model = model_from_config(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
@@ -358,7 +355,7 @@ def diagnose(cfg: dict) -> dict:
     delta_hat = rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
     rho = rho_qstar(spec, density, qstar)
     kappa, kappa_l = kappa_values(model, density)
-    if population_gram_is_identity(spec, density):
+    if population_gram_is_identity(density):
         # P_U = I on every union U = J u J0, so E's normalized Gram is G_emp[U, U]
         # and its largest deviation is the RIP constant over the same unions
         max_dev = delta_hat

@@ -23,7 +23,7 @@ N_BOOT = 200
 class ComponentEstimate:
     """Least-squares fit of one component on the held-out half sample.
 
-    ``coefficients[i]`` multiplies phi_{i+2}(x_target) (centered convention).
+    ``coefficients[i]`` multiplies phi_{i+2}(x_target).
     """
 
     target: int
@@ -64,13 +64,12 @@ def estimate_component(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: fl
 
     m_fit = list(spec.m)
     m_fit[target] = max(m_target, 2)
-    fit_spec = BasisSpec.create(spec.q, tuple(m_fit), centered=True)
+    fit_spec = BasisSpec.create(spec.q, tuple(m_fit))
     X2, Y2 = dataset.X[n:], dataset.Y[n:]
     if np.any(X2 < 0.0) or np.any(X2 > 1.0):
         raise AddselError("design entries must lie in [0,1]")
     # only the refit set's blocks: the other covariates play no part in the fit
-    A = np.concatenate([build_design_block(X2[:, j], fit_spec.m[j], fit_spec.centered[j])
-                        for j in J_fit], axis=1)
+    A = np.concatenate([build_design_block(X2[:, j], fit_spec.m[j]) for j in J_fit], axis=1)
     coef, _, _, s = np.linalg.lstsq(A, Y2 / np.sqrt(n), rcond=None)
     if A.shape[1] > A.shape[0] or s[-1] <= RANK_RTOL * s[0]:
         raise AddselError(
@@ -125,7 +124,7 @@ def rate_experiment(cfg: dict):
     reps = int(cfg.get("reps", DEFAULTS["reps"]))
     if len(n_grid) < 3 or np.any(np.diff(n_grid) <= 0):
         raise AddselError("n_grid must be increasing with at least 3 points")
-    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "estimate"), centered=True)
+    spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "estimate"))
     density = density_from_config(cfg)
     target = int(cfg.get("target", DEFAULTS["target"]))
     alpha = float(cfg["alpha"])

@@ -97,23 +97,23 @@ def _check_subset_budget(q, size, budget):
         raise BudgetError("subset enumeration exceeds budget", count=count, budget=budget)
 
 
-def population_gram_is_identity(spec: BasisSpec, density: Density) -> bool:
-    """Whether the population Gram of V_{1..q} is the identity.
+def population_gram_is_identity(density: Density) -> bool:
+    """Whether the population Gram of V_{1..q} is the identity, for every spec.
 
     Independent Uniform[0,1] covariates make the trig system orthonormal on each
-    block and, once phi_1 is left out (every block centered), mean-zero, so the
-    cross blocks vanish. rho and eps are then exact zeros, which rho_qstar,
-    epsilon_constants and geometry_report return without quadrature noise, and
-    the normalized Gram of event E on any union is the empirical Gram itself.
+    block and, with phi_1 left out, mean-zero, so the cross blocks vanish. rho
+    and eps are then exact zeros, which rho_qstar, epsilon_constants and
+    geometry_report return without quadrature noise, and the normalized Gram
+    of event E on any union is the empirical Gram itself.
     """
-    return density.independent and density.uniform_marginals and all(spec.centered)
+    return density.independent and density.uniform_marginals
 
 
 def representative_spec(spec: BasisSpec, density: Density, qstar: int) -> BasisSpec:
     """``spec`` cut to its first min(q, 2 qstar) covariates where that is exact.
 
-    Under an exchangeable law (``density.exchangeable``), with one (m_j, centered_j)
-    for all blocks, every diagonal block of the population Gram is the same
+    Under an exchangeable law (``density.exchangeable``), with one m_j for all
+    blocks, every diagonal block of the population Gram is the same
     array and so is every cross block; G_J then depends only on how the blocks
     of J interleave. Every subset of size <= 2 qstar, and every disjoint pair
     of size <= qstar, occurs with the same Gram among the first 2 qstar
@@ -121,10 +121,9 @@ def representative_spec(spec: BasisSpec, density: Density, qstar: int) -> BasisS
     suprema over all q. Otherwise ``spec`` is returned unchanged.
     """
     k = min(spec.q, 2 * qstar)
-    equal_blocks = len(set(zip(spec.m, spec.centered))) == 1
-    if not (density.exchangeable and equal_blocks and 0 < k < spec.q):
+    if not (density.exchangeable and len(set(spec.m)) == 1 and 0 < k < spec.q):
         return spec
-    return BasisSpec(q=k, m=spec.m[:k], centered=spec.centered[:k])
+    return BasisSpec(q=k, m=spec.m[:k])
 
 
 def count_disjoint_pairs(q, qstar):
@@ -158,12 +157,11 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
     return rho
 
 
-def rho_qstar(spec: BasisSpec, density: Density, qstar: int,
-              budget=DEFAULT_BUDGET) -> float:
-    if population_gram_is_identity(spec, density):
+def rho_qstar(spec: BasisSpec, density: Density, qstar: int) -> float:
+    if population_gram_is_identity(density):
         return 0.0
     G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
-    return rho_from_gram(G, slices, qstar, budget)
+    return rho_from_gram(G, slices, qstar)
 
 
 def _normalized_eig_range(G, slices, J):
@@ -194,12 +192,11 @@ def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
     return eps_low, eps_high
 
 
-def epsilon_constants(spec: BasisSpec, density: Density, qstar: int,
-                      budget=DEFAULT_BUDGET):
-    if population_gram_is_identity(spec, density):
+def epsilon_constants(spec: BasisSpec, density: Density, qstar: int):
+    if population_gram_is_identity(density):
         return 0.0, 0.0
     G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
-    return epsilons_from_gram(G, slices, qstar, budget)
+    return epsilons_from_gram(G, slices, qstar)
 
 
 def check_ric_chain(rho: float, eps_2qstar: float, qstar: int) -> bool:
@@ -233,7 +230,7 @@ def kappa_values(model, density: Density):
     m = [1] * model.q
     for j in J0:
         m[j] = len(model.theta[j]) + 1
-    spec = BasisSpec.create(model.q, m, centered=True)
+    spec = BasisSpec.create(model.q, m)
     G = population_gram(spec, density, J0)
     sl = block_slices([spec.dim(j) for j in J0])
     coef = np.concatenate([np.asarray(model.theta[j], dtype=float) for j in J0])
@@ -298,8 +295,7 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
     return float(np.sqrt(total.max() / sl[-1].stop))
 
 
-def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024,
-                   budget=GRID_BUDGET) -> float:
+def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024) -> float:
     """Grid maximum of sqrt(b(x)^T G_J^{-1} b(x) / d_J) over x in [0,1]^|J|.
 
     A lower bound of the true sup-norm ratio phi_J, improving with grid_size.
@@ -308,7 +304,7 @@ def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024,
     if spec.d_J(J) < 1:
         raise AssumptionError("sup_norm_ratio needs d_J >= 1")
     return _sup_norm_ratio(spec, population_gram(spec, density, J), J,
-                           _grid_points(len(J), grid_size, budget))
+                           _grid_points(len(J), grid_size, GRID_BUDGET))
 
 
 def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size, budget):
@@ -357,7 +353,7 @@ def geometry_report(spec: BasisSpec, density: Density, qstar: int, model=None,
                     grid_size=512, budget=DEFAULT_BUDGET) -> GeometryReport:
     rep = representative_spec(spec, density, qstar)
     G, slices = full_block_gram(rep, density)
-    if population_gram_is_identity(spec, density):
+    if population_gram_is_identity(density):
         _check_subset_budget(rep.q, min(2 * qstar, rep.q), budget)
         rho = eps = eps_prime = 0.0
     else:

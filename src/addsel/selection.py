@@ -8,7 +8,7 @@ import numpy as np
 
 from .basis import BasisSpec, DesignBlocks, block_columns, build_design_blocks
 from .errors import AddselError, BudgetError
-from .geometry import count_subsets_up_to, subsets_up_to
+from .geometry import DEFAULT_BUDGET, count_subsets_up_to, subsets_up_to
 
 #: relative singular-value cutoff below which a direction counts as rank lost
 RANK_RTOL = 1e-10
@@ -154,7 +154,7 @@ def _better(candidate, incumbent):
 
 
 def select_exhaustive(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: float,
-                      budget=10 ** 6, blocks: DesignBlocks | None = None) -> SelectionResult:
+                      budget=DEFAULT_BUDGET) -> SelectionResult:
     """Argmax over all |J| <= qstar of |Pi_J Y|_n^2 - sigma^2 d_J / n."""
     q = spec.q
     count = count_subsets_up_to(q, qstar, include_empty=True)
@@ -164,9 +164,7 @@ def select_exhaustive(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: flo
             "consider select_greedy",
             count=count, budget=budget,
         )
-    if blocks is None:
-        blocks = build_design_blocks(dataset.X, spec)
-    scorer = _SubsetScorer(blocks, dataset.Y)
+    scorer = _SubsetScorer(build_design_blocks(dataset.X, spec), dataset.Y)
     crit = {}
     best = (0.0, ())
     crit[()] = 0.0
@@ -179,12 +177,10 @@ def select_exhaustive(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: flo
                            qstar=qstar, search_mode="exhaustive")
 
 
-def select_greedy(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: float,
-                  blocks: DesignBlocks | None = None) -> SelectionResult:
+def select_greedy(dataset: Dataset, spec: BasisSpec, qstar: int,
+                  sigma2: float) -> SelectionResult:
     """Forward stepwise surrogate; no optimality guarantee is claimed."""
-    if blocks is None:
-        blocks = build_design_blocks(dataset.X, spec)
-    scorer = _SubsetScorer(blocks, dataset.Y)
+    scorer = _SubsetScorer(build_design_blocks(dataset.X, spec), dataset.Y)
     q = spec.q
     current: tuple = ()
     current_val = 0.0

@@ -200,7 +200,7 @@ def run_single_trial(cfg, density, trial_index, child_seed, rho=0.0, eps_prime=0
     rng = np.random.default_rng(child_seed)
     model = model_from_config(cfg, rng)
     m = _resolve_m(cfg, model, density, rho, eps_prime)
-    spec = BasisSpec.create(cfg["q"], m, centered=True)
+    spec = BasisSpec.create(cfg["q"], m)
     X = density.sample(cfg["n"], cfg["q"], rng)
     Y = gen_response(model, X, rng)
     dataset = Dataset(X, Y)
@@ -235,7 +235,7 @@ def run_trials(cfg: dict):
     density = density_from_config(cfg)
     rho = eps_prime = 0.0
     if eq7:
-        probe = BasisSpec.create(cfg["q"], 6, centered=True)
+        probe = BasisSpec.create(cfg["q"], 6)
         rho = rho_qstar(probe, density, cfg["qstar"])
         _, eps_prime = epsilon_constants(probe, density, cfg["qstar"])
     children = np.random.SeedSequence(cfg["seed"]).spawn(trials)

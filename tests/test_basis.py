@@ -36,15 +36,12 @@ def test_orthonormality_under_uniform():
 
 
 def test_basis_spec_dims():
-    spec = BasisSpec.create(3, (5, 4, 7), centered=True)
+    spec = BasisSpec.create(3, (5, 4, 7))
     assert [spec.dim(j) for j in range(3)] == [4, 3, 6]
     assert spec.d_J((0, 2)) == 10
     assert spec.d_l(1) == 6
     assert spec.d_l(2) == 10
     npt.assert_array_equal(spec.basis_indices(0), [2, 3, 4, 5])
-    unc = BasisSpec.create(2, 4, centered=False)
-    assert unc.dim(0) == 4
-    npt.assert_array_equal(unc.basis_indices(0), [1, 2, 3, 4])
 
 
 def test_basis_spec_rejects_bad_levels():
@@ -55,14 +52,14 @@ def test_basis_spec_rejects_bad_levels():
 def test_design_block_scaling():
     rng = np.random.default_rng(0)
     x = rng.random(50)
-    A = build_design_block(x, 5, centered=True)
+    A = build_design_block(x, 5)
     B = basis_matrix(np.arange(2, 6), x)
     npt.assert_allclose(A, B / np.sqrt(50))
 
 
 def test_design_block_rejects_out_of_range():
     with pytest.raises(AddselError):
-        build_design_block(np.array([0.2, 1.4]), 4, centered=True)
+        build_design_block(np.array([0.2, 1.4]), 4)
 
 
 def test_blocks_concat_order_and_empty():

@@ -122,6 +122,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["geometry", "--config", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL)
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["geometry", "--config", cfg, "--out", out]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ConfigError"
+    assert out in record["error"]["message"]
+
+
 @pytest.mark.parametrize("command", ["geometry", "diagnose", "estimate"])
 def test_cli_refuses_eq7_outside_simulate(tmp_path, command):
     # these commands have no eq7 level of their own; they used to run at m = 5

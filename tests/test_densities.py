@@ -20,6 +20,19 @@ def test_copula_pair_pdf_integrates_to_one():
     npt.assert_allclose(W.mean(), 1.0, atol=1e-3)
 
 
+def test_copula_pair_pdf_cache_keys_on_the_grids():
+    # two grids of one length and one first node are still two grids: the
+    # second call gets its own pdf, and a repeated grid gets the cached one
+    u = (np.arange(8) + 0.5) / 8
+    v = np.concatenate([u[:1], np.linspace(0.2, 0.9, 7)])
+    dens = GaussianCopulaDensity(r=0.5)
+    first = dens.pair_pdf(0, 1, u, u)
+    second = dens.pair_pdf(0, 1, v, v)
+    assert not np.array_equal(first, second)
+    npt.assert_array_equal(second, GaussianCopulaDensity(r=0.5).pair_pdf(0, 1, v, v))
+    assert dens.pair_pdf(0, 1, v, v) is second
+
+
 def test_copula_pair_pdf_matches_bivariate_normal():
     # [DERIVED] c(u,v) = phi_2(z,w;r) / (phi(z) phi(w)) at a spot value
     r = 0.4

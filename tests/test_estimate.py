@@ -138,7 +138,7 @@ def _reference_estimate(dataset, spec, qstar, sigma2, target, m_target):
     J_fit = tuple(sorted(set(chosen) | {target}))
     m_fit = list(spec.m)
     m_fit[target] = max(m_target, 2)
-    fit_spec = BasisSpec.create(spec.q, tuple(m_fit), centered=True)
+    fit_spec = BasisSpec.create(spec.q, tuple(m_fit))
     A = build_design_blocks(dataset.X[n:], fit_spec).concat(J_fit)
     coef, *_ = np.linalg.lstsq(A, dataset.Y[n:] / np.sqrt(n), rcond=None)
     offset = sum(fit_spec.dim(j) for j in J_fit if j < target)
@@ -167,7 +167,7 @@ def test_estimate_component_refits_only_J_fit_bitwise(law, monkeypatch):
     built = []
     original = estimate_mod.build_design_block
     monkeypatch.setattr(estimate_mod, "build_design_block",
-                        lambda xcol, m, centered: built.append(m) or original(xcol, m, centered))
+                        lambda xcol, m: built.append(m) or original(xcol, m))
     est = estimate_component(ds, spec, 2, 0.09, target, m_target=7)
     coef, chosen = _reference_estimate(ds, spec, 2, 0.09, target, 7)
     assert est.selected == chosen

@@ -233,8 +233,7 @@ def test_full_enumeration_when_not_exchangeable(density, m):
     assert rho_qstar(spec, density, 1) == full[0]
     assert phi_2qstar(spec, density, 1, grid_size=64) == full[3]
     # the last covariate matters here: a spec cut to the first two would miss it
-    cut = _full_enumeration(BasisSpec(q=2, m=spec.m[:2], centered=spec.centered[:2]),
-                            density, 1, 64)
+    cut = _full_enumeration(BasisSpec(q=2, m=spec.m[:2]), density, 1, 64)
     assert abs(cut[0] - full[0]) > 1e-3 or abs(cut[3] - full[3]) > 1e-3
 
 
@@ -281,19 +280,14 @@ def test_geometry_report_phi_grid():
 
 def test_population_gram_is_identity_declared():
     from addsel.geometry import population_gram_is_identity
-    centered = BasisSpec.create(4, 4)
+    spec = BasisSpec.create(4, 4)
     for density in (UniformDensity(), GaussianCopulaDensity(r=0.0)):
-        assert population_gram_is_identity(centered, density)
-        G, _ = full_block_gram(centered, density)
+        assert population_gram_is_identity(density)
+        G, _ = full_block_gram(spec, density)
         npt.assert_allclose(G, np.eye(len(G)), rtol=0.0, atol=1e-12)
-    # phi_1 = 1 in two blocks couples them; a copula or a table moves the Gram
-    # off the identity with every block centered
-    for spec, density in ((BasisSpec.create(4, 4, centered=False), UniformDensity()),
-                          (BasisSpec.create(4, 4, centered=(True, False, False, True)),
-                           UniformDensity()),
-                          (centered, GaussianCopulaDensity(r=0.3)),
-                          (centered, TableDensity(tables={2: _TILT}))):
-        assert not population_gram_is_identity(spec, density)
+    # a copula or a table moves the Gram off the identity
+    for density in (GaussianCopulaDensity(r=0.3), TableDensity(tables={2: _TILT})):
+        assert not population_gram_is_identity(density)
         G, _ = full_block_gram(spec, density)
         assert np.abs(G - np.eye(len(G))).max() > 1e-3
 
@@ -312,7 +306,7 @@ def test_custom_density_law_reduction_is_bitwise_exact(q, qstar, m):
     assert rho_qstar(spec, density, qstar) == full[0]
     assert epsilon_constants(spec, density, qstar) == full[1:3]
     assert phi_2qstar(spec, density, qstar, grid_size=64) == full[3]
-    assert full[0] > 0.1  # the tables couple the centered blocks
+    assert full[0] > 0.1  # the tables couple the blocks
 
 
 def test_tables_on_some_covariates_stay_non_exchangeable():
