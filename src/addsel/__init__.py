@@ -10,9 +10,9 @@ from .errors import AddselError, AssumptionError, BudgetError, ConfigError, \
     SingularBlockError
 from .estimate import ComponentEstimate, component_risk, default_m_target, \
     estimate_component, rate_experiment
-from .geometry import GeometryReport, check_ric_chain, epsilon_constants, \
-    geometry_report, kappa_values, min_angle_cos, phi_2qstar, \
-    population_projection_gap, rho_qstar, sup_norm_ratio, verify_angle_equivalence
+from .geometry import GeometryReport, PopulationGeometry, check_ric_chain, geometry_report, \
+    kappa_values, min_angle_cos, phi_2qstar, population_projection_gap, sup_norm_ratio, \
+    verify_angle_equivalence
 from .selection import Dataset, SelectionResult, empirical_projection_gap, project, \
     project_norm_sq, select_exhaustive, select_greedy
 from .simulate import AdditiveModel, approximation_decay_experiment, density_from_config, \

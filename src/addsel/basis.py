@@ -227,23 +227,32 @@ def population_gram(spec: BasisSpec, density: Density, J) -> np.ndarray:
     """Gram matrix of the concatenated basis of V_J under the covariate law.
 
     Blocks follow ascending covariate order, columns ascending basis index.
+    Under an exchangeable law a block depends only on the m_j of its
+    covariates, so each distinct diagonal block and each distinct ordered
+    pair of cross blocks is computed once and placed wherever it occurs.
     """
     J = sorted(J)
     dims = [spec.dim(j) for j in J]
     d = sum(dims)
     G = np.zeros((d, d))
     sl = block_slices(dims)
-    moments = [marginal_moments(spec.basis_indices(j), density, j) for j in J]
+    keys = [spec.m[j] if density.exchangeable else j for j in J]
+    # one covariate per key stands for every covariate with that key
+    moments = {key: marginal_moments(spec.basis_indices(j), density, j)
+               for key, j in dict(zip(keys, J)).items()}
+    cross = {}
     for a, j1 in enumerate(J):
-        G[sl[a], sl[a]] = moments[a][0]
+        G[sl[a], sl[a]] = moments[keys[a]][0]
         for b in range(a + 1, len(J)):
-            if density.independent:
-                # independent covariates: the cross block is the outer product of the means
-                C = np.outer(moments[a][1], moments[b][1])
-            else:
-                C = _cross_block_gram(spec, density, j1, J[b])
-            G[sl[a], sl[b]] = C
-            G[sl[b], sl[a]] = C.T
+            pair = (keys[a], keys[b])
+            if pair not in cross:
+                if density.independent:
+                    # independent covariates: the cross block is the outer product of the means
+                    cross[pair] = np.outer(moments[keys[a]][1], moments[keys[b]][1])
+                else:
+                    cross[pair] = _cross_block_gram(spec, density, j1, J[b])
+            G[sl[a], sl[b]] = cross[pair]
+            G[sl[b], sl[a]] = cross[pair].T
     return 0.5 * (G + G.T)
 
 

@@ -63,25 +63,25 @@ def _manifest(args, cfg):
     }
 
 
-def cmd_geometry(args, cfg, emit):
+def cmd_geometry(cfg, emit):
     spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "geometry"))
     report = geometry.geometry_report(spec, density_from_config(cfg), cfg["qstar"],
                                       model=model_from_config(cfg))
     emit(report.to_dict())
 
 
-def cmd_simulate(args, cfg, emit):
+def cmd_simulate(cfg, emit):
     records, summary = run_trials(cfg)
     for rec in records:
         emit(rec)
     emit({"summary": summary})
 
 
-def cmd_estimate(args, cfg, emit):
+def cmd_estimate(cfg, emit):
     emit(rate_experiment(cfg))
 
 
-def cmd_diagnose(args, cfg, emit):
+def cmd_diagnose(cfg, emit):
     emit(diagnostics.diagnose(cfg))
 
 
@@ -89,31 +89,20 @@ COMMANDS = {"geometry": cmd_geometry, "simulate": cmd_simulate,
             "estimate": cmd_estimate, "diagnose": cmd_diagnose}
 
 
-def _finite(o):
-    """``o`` with every non-finite float, Python or numpy, replaced by None."""
+def _plain(o):
+    """``o`` as plain JSON values: numpy scalars and arrays become Python
+    ones, and every non-finite float is written as None (strict JSON)."""
     if isinstance(o, dict):
-        return {k: _finite(v) for k, v in o.items()}
-    if isinstance(o, (list, tuple, set)):
-        return [_finite(v) for v in o]
+        return {k: _plain(v) for k, v in o.items()}
     if isinstance(o, np.ndarray):
-        return _finite(o.tolist())
-    if isinstance(o, (float, np.floating)) and not np.isfinite(o):
-        return None
+        return _plain(o.tolist())
+    if isinstance(o, (list, tuple, set)):
+        return [_plain(v) for v in o]
+    if isinstance(o, np.integer):
+        return int(o)
+    if isinstance(o, (float, np.floating)):
+        return float(o) if np.isfinite(o) else None
     return o
-
-
-class _Encoder(json.JSONEncoder):
-    """numpy-aware strict JSON: NaN and infinities are written as null."""
-
-    def iterencode(self, o, _one_shot=False):
-        return super().iterencode(_finite(o), _one_shot)
-
-    def default(self, o):
-        if isinstance(o, np.integer):
-            return int(o)
-        if isinstance(o, np.floating):
-            return float(o)
-        return super().default(o)
 
 
 def main(argv=None) -> int:
@@ -133,13 +122,13 @@ def main(argv=None) -> int:
         return 2
 
     def emit(obj):
-        json.dump(obj, out, cls=_Encoder, sort_keys=True)
+        json.dump(_plain(obj), out, sort_keys=True)
         out.write("\n")
 
     try:
         emit(_manifest(args, cfg))
         log.info("running %s with config %s", args.command, args.config)
-        COMMANDS[args.command](args, cfg, emit)
+        COMMANDS[args.command](cfg, emit)
         return 0
     except ConfigError as exc:
         emit({"error": {"type": "ConfigError", "message": str(exc)}})

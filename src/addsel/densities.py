@@ -16,15 +16,16 @@ from .errors import ConfigError
 
 
 class Density:
-    """Base class: independent uniform marginals unless overridden."""
+    """Base class with uniform pdfs. It declares no capability, so a subclass
+    that overrides ``marginal_pdf`` gets no shortcut it has not declared."""
 
-    independent = True
+    independent = False
     #: every marginal is Uniform[0,1]; with ``independent`` the trig blocks,
     #: which leave phi_1 out, are then orthogonal, so rho = 0
-    uniform_marginals = True
+    uniform_marginals = False
     #: the law of X is invariant under permutations of the covariates; with
     #: equal truncation levels, subsets then differ only by their labels
-    exchangeable = True
+    exchangeable = False
     #: lower bound c with c <= p_j <= 1/c for all marginals
     c = 1.0
 
@@ -45,6 +46,8 @@ class Density:
 
 class UniformDensity(Density):
     """Independent Uniform[0,1] covariates."""
+
+    independent = uniform_marginals = exchangeable = True
 
     def sample(self, n, q, rng):
         return rng.random((n, q))
@@ -117,6 +120,8 @@ class TableDensity(Density):
     """
 
     tables: dict = field(default_factory=dict)
+
+    independent = True
 
     def __post_init__(self):
         self.uniform_marginals = not self.tables

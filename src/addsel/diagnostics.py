@@ -7,12 +7,12 @@ from math import comb, exp, log, sqrt
 import numpy as np
 
 from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, \
-    full_block_gram, marginal_moments, trig_series
+    marginal_moments, trig_series
 from .config import fixed_m
 from .densities import Density
 from .errors import AssumptionError, BudgetError, ConfigError
-from .geometry import DEFAULT_BUDGET, EIG_FLOOR, count_subsets_up_to, kappa_values, \
-    population_gram_is_identity, rho_qstar, singular_gram_error, subsets_up_to
+from .geometry import DEFAULT_BUDGET, EIG_FLOOR, PopulationGeometry, count_subsets_up_to, \
+    kappa_values, singular_gram_error, subsets_up_to
 from .simulate import density_from_config, model_from_config
 
 #: most principal submatrices stacked into one batched eigenvalue call; the
@@ -153,10 +153,11 @@ def event_E_check(dataset, spec: BasisSpec, density: Density, qstar: int, J0,
     constant over the same unions, and no population Gram is built.
     """
     blocks = build_design_blocks(dataset.X, spec)
-    if population_gram_is_identity(density):
+    geo = PopulationGeometry(spec, density, qstar)
+    if geo.identity:
         worst = rip_constant(blocks, qstar, J0)
         return worst <= delta, worst
-    G_pop, slices = full_block_gram(spec, density)
+    G_pop, slices = geo.gram
     return event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar, J0, delta)
 
 
@@ -353,14 +354,15 @@ def diagnose(cfg: dict) -> dict:
         subsets = sample_subsets(q, qstar, 2000, seed=cfg["seed"])
         n_subsets = len(subsets)
     delta_hat = rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
-    rho = rho_qstar(spec, density, qstar)
+    geo = PopulationGeometry(spec, density, qstar)
+    rho = geo.rho()
     kappa, kappa_l = kappa_values(model, density)
-    if population_gram_is_identity(density):
+    if geo.identity:
         # P_U = I on every union U = J u J0, so E's normalized Gram is G_emp[U, U]
         # and its largest deviation is the RIP constant over the same unions
         max_dev = delta_hat
     else:
-        G_pop, slices = full_block_gram(spec, density)
+        G_pop, slices = geo.gram
         _, max_dev = event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar,
                                         model.J0, delta, subsets=subsets)
     holds_A = event_A_check(X, model, spec, density, rho, kappa, cprime)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from math import ceil, comb, log2
 
 import numpy as np
@@ -17,6 +18,8 @@ EIG_FLOOR = 1e-12
 DEFAULT_BUDGET = 10 ** 6
 #: most grid points sup_norm_ratio evaluates for one subset
 GRID_BUDGET = 2 ** 22
+#: points per axis of the sup-norm grid before GRID_BUDGET halves them
+GRID_SIZE = 512
 # rounding allowance of check_ric_chain: eps (eigvalsh) and rho (SVD) agree only
 # to ~1e-15 where the chain is an equality (two blocks, qstar = 1)
 CHAIN_SLACK = 1e-12
@@ -37,16 +40,9 @@ class GeometryReport:
     phi_grid: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "qstar": self.qstar,
-            "rho_qstar": self.rho_qstar,
-            "eps_2qstar": self.eps_2qstar,
-            "eps_prime_qstar": self.eps_prime_qstar,
-            "kappa": self.kappa,
-            "kappa_l": None if self.kappa_l is None else list(map(float, self.kappa_l)),
-            "phi_2qstar": self.phi_2qstar,
-            "phi_grid": dict(self.phi_grid),
-        }
+        out = asdict(self)
+        out["kappa_l"] = None if self.kappa_l is None else list(map(float, self.kappa_l))
+        return out
 
 
 def singular_gram_error(label, min_eigenvalue) -> SingularBlockError:
@@ -97,35 +93,6 @@ def _check_subset_budget(q, size, budget):
         raise BudgetError("subset enumeration exceeds budget", count=count, budget=budget)
 
 
-def population_gram_is_identity(density: Density) -> bool:
-    """Whether the population Gram of V_{1..q} is the identity, for every spec.
-
-    Independent Uniform[0,1] covariates make the trig system orthonormal on each
-    block and, with phi_1 left out, mean-zero, so the cross blocks vanish. rho
-    and eps are then exact zeros, which rho_qstar, epsilon_constants and
-    geometry_report return without quadrature noise, and the normalized Gram
-    of event E on any union is the empirical Gram itself.
-    """
-    return density.independent and density.uniform_marginals
-
-
-def representative_spec(spec: BasisSpec, density: Density, qstar: int) -> BasisSpec:
-    """``spec`` cut to its first min(q, 2 qstar) covariates where that is exact.
-
-    Under an exchangeable law (``density.exchangeable``), with one m_j for all
-    blocks, every diagonal block of the population Gram is the same
-    array and so is every cross block; G_J then depends only on how the blocks
-    of J interleave. Every subset of size <= 2 qstar, and every disjoint pair
-    of size <= qstar, occurs with the same Gram among the first 2 qstar
-    covariates, so rho, eps and phi over those equal, bit for bit, their
-    suprema over all q. Otherwise ``spec`` is returned unchanged.
-    """
-    k = min(spec.q, 2 * qstar)
-    if not (density.exchangeable and len(set(spec.m)) == 1 and 0 < k < spec.q):
-        return spec
-    return BasisSpec(q=k, m=spec.m[:k])
-
-
 def count_disjoint_pairs(q, qstar):
     total = 0
     for r1 in range(1, qstar + 1):
@@ -157,13 +124,6 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
     return rho
 
 
-def rho_qstar(spec: BasisSpec, density: Density, qstar: int) -> float:
-    if population_gram_is_identity(density):
-        return 0.0
-    G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
-    return rho_from_gram(G, slices, qstar)
-
-
 def _normalized_eig_range(G, slices, J):
     """(lambda_min, lambda_max) of D_J^{-1/2} G_J D_J^{-1/2}."""
     J = sorted(J)
@@ -190,13 +150,6 @@ def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
         if len(J) <= qstar:
             eps_high = max(eps_high, hi - 1.0)
     return eps_low, eps_high
-
-
-def epsilon_constants(spec: BasisSpec, density: Density, qstar: int):
-    if population_gram_is_identity(density):
-        return 0.0, 0.0
-    G, slices = full_block_gram(representative_spec(spec, density, qstar), density)
-    return epsilons_from_gram(G, slices, qstar)
 
 
 def check_ric_chain(rho: float, eps_2qstar: float, qstar: int) -> bool:
@@ -244,7 +197,7 @@ def kappa_values(model, density: Density):
     return float(kappa_l.min()), kappa_l
 
 
-def population_projection_gap(G, slices, J, J0, coef):
+def population_projection_gap(G, slices, J, coef):
     """|f|^2 - |Pi_J f|^2 = |f - Pi_J f|^2 for f with coefficients ``coef``.
 
     ``coef`` is indexed over the full Gram's columns (support typically on the
@@ -295,7 +248,7 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
     return float(np.sqrt(total.max() / sl[-1].stop))
 
 
-def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024) -> float:
+def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=GRID_SIZE) -> float:
     """Grid maximum of sqrt(b(x)^T G_J^{-1} b(x) / d_J) over x in [0,1]^|J|.
 
     A lower bound of the true sup-norm ratio phi_J, improving with grid_size.
@@ -308,10 +261,12 @@ def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=1024) -> floa
 
 
 def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size, budget):
-    """(phi_2qstar, {|J|: points per axis}) with each G_J sliced from the full Gram."""
+    """(phi_2qstar, {|J|: points per axis}) over the blocks of ``slices``, with
+    each G_J sliced from the full Gram."""
     best = 0.0
     grid = {}
-    for J in subsets_up_to(spec.q, min(2 * qstar, spec.q)):
+    q = len(slices)
+    for J in subsets_up_to(q, min(2 * qstar, q)):
         if spec.d_J(J) == 0:
             continue
         grid[len(J)] = g = _grid_points(len(J), grid_size, budget)
@@ -320,12 +275,57 @@ def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size, budget):
     return best, grid
 
 
-def phi_2qstar(spec: BasisSpec, density: Density, qstar: int, grid_size=1024,
+class PopulationGeometry:
+    """The population Gram of V_1..V_q under one covariate law, and rho, eps
+    and phi read off it.
+
+    ``identity``: independent Uniform[0,1] covariates make the trig system
+    orthonormal and, with phi_1 left out, mean-zero, so the Gram is the
+    identity. rho and eps are then exact zeros, returned without a Gram or a
+    budget check, and event E's normalized Gram is the empirical Gram itself.
+
+    ``k``: the suprema range over the first k blocks. Under an exchangeable
+    law with one m_j for all blocks, G_J depends only on how the blocks of J
+    interleave. Every subset of size <= 2 qstar, and every disjoint pair of
+    size <= qstar, occurs with the same Gram among the first 2 qstar blocks,
+    so k = min(q, 2 qstar) gives the suprema over all q bit for bit.
+    Otherwise k = q.
+    """
+
+    def __init__(self, spec: BasisSpec, density: Density, qstar: int):
+        self.spec, self.density, self.qstar = spec, density, qstar
+        self.identity = density.independent and density.uniform_marginals
+        equal_m = density.exchangeable and len(set(spec.m)) == 1
+        self.k = min(spec.q, 2 * qstar) if equal_m else spec.q
+
+    @cached_property
+    def gram(self):
+        """(G, slices) of all q blocks, built on first use."""
+        return full_block_gram(self.spec, self.density)
+
+    def _leading(self):
+        G, slices = self.gram
+        return G, slices[:self.k]
+
+    def rho(self, budget=DEFAULT_BUDGET) -> float:
+        return 0.0 if self.identity else rho_from_gram(*self._leading(), self.qstar, budget)
+
+    def epsilons(self, budget=DEFAULT_BUDGET):
+        """(eps_2qstar, eps_prime_qstar)."""
+        if self.identity:
+            return 0.0, 0.0
+        return epsilons_from_gram(*self._leading(), self.qstar, budget)
+
+    def phi(self, grid_size=GRID_SIZE, budget=GRID_BUDGET):
+        """(phi_2qstar, {|J|: points per axis of its grid})."""
+        return _phi_from_gram(self.spec, *self._leading(), self.qstar, grid_size, budget)
+
+
+def phi_2qstar(spec: BasisSpec, density: Density, qstar: int, grid_size=GRID_SIZE,
                budget=GRID_BUDGET, subset_budget=DEFAULT_BUDGET) -> float:
-    spec = representative_spec(spec, density, qstar)
-    _check_subset_budget(spec.q, min(2 * qstar, spec.q), subset_budget)
-    G, slices = full_block_gram(spec, density)
-    return _phi_from_gram(spec, G, slices, qstar, grid_size, budget)[0]
+    geo = PopulationGeometry(spec, density, qstar)
+    _check_subset_budget(geo.k, min(2 * qstar, geo.k), subset_budget)
+    return geo.phi(grid_size, budget)[0]
 
 
 def verify_angle_equivalence(G11, G22, G12, trials: int, seed=0) -> bool:
@@ -350,20 +350,14 @@ def verify_angle_equivalence(G11, G22, G12, trials: int, seed=0) -> bool:
 
 
 def geometry_report(spec: BasisSpec, density: Density, qstar: int, model=None,
-                    grid_size=512, budget=DEFAULT_BUDGET) -> GeometryReport:
-    rep = representative_spec(spec, density, qstar)
-    G, slices = full_block_gram(rep, density)
-    if population_gram_is_identity(density):
-        _check_subset_budget(rep.q, min(2 * qstar, rep.q), budget)
-        rho = eps = eps_prime = 0.0
-    else:
-        rho = rho_from_gram(G, slices, qstar, budget)
-        eps, eps_prime = epsilons_from_gram(G, slices, qstar, budget)
-    report = GeometryReport(qstar=qstar, rho_qstar=rho, eps_2qstar=eps,
-                            eps_prime_qstar=eps_prime)
+                    grid_size=GRID_SIZE, budget=DEFAULT_BUDGET) -> GeometryReport:
+    geo = PopulationGeometry(spec, density, qstar)
+    if geo.identity:
+        _check_subset_budget(geo.k, min(2 * qstar, geo.k), budget)
+    # arguments run left to right: rho's pair count is checked before eps' subsets
+    report = GeometryReport(qstar, geo.rho(budget), *geo.epsilons(budget))
     if model is not None and len(model.J0) > 0:
         report.kappa, report.kappa_l = kappa_values(model, density)
     # the subset count has been checked above, by epsilons_from_gram or directly
-    report.phi_2qstar, report.phi_grid = _phi_from_gram(rep, G, slices, qstar,
-                                                        grid_size, GRID_BUDGET)
+    report.phi_2qstar, report.phi_grid = geo.phi(grid_size)
     return report

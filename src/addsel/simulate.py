@@ -12,7 +12,7 @@ from .basis import BasisSpec, trig_series
 from .config import DEFAULTS, parse_m_rule
 from .densities import Density, GaussianCopulaDensity, TableDensity, UniformDensity
 from .errors import AddselError, AssumptionError, ConfigError
-from .geometry import epsilon_constants, kappa_values, rho_qstar
+from .geometry import PopulationGeometry, kappa_values
 from .selection import Dataset, select_exhaustive, select_greedy
 
 #: head-energy decay across frequencies in generated components
@@ -235,9 +235,9 @@ def run_trials(cfg: dict):
     density = density_from_config(cfg)
     rho = eps_prime = 0.0
     if eq7:
-        probe = BasisSpec.create(cfg["q"], 6)
-        rho = rho_qstar(probe, density, cfg["qstar"])
-        _, eps_prime = epsilon_constants(probe, density, cfg["qstar"])
+        probe = PopulationGeometry(BasisSpec.create(cfg["q"], 6), density, cfg["qstar"])
+        rho = probe.rho()
+        _, eps_prime = probe.epsilons()
     children = np.random.SeedSequence(cfg["seed"]).spawn(trials)
 
     def one(i):

@@ -10,9 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from addsel import (BasisSpec, Dataset, GaussianCopulaDensity,
+from addsel import (BasisSpec, Dataset, GaussianCopulaDensity, PopulationGeometry,
                     UniformDensity, approximation_decay_experiment,
-                    chi2_tail_bounds, check_ric_chain, epsilon_constants,
+                    chi2_tail_bounds, check_ric_chain,
                     event_E_check, m_lower_bound, phi_2qstar, rate_experiment,
                     rip_constant, run_trials, sample_subsets,
                     selection_error_bound)
@@ -85,7 +85,7 @@ def test_criterion_02_population_projection_gap():
         coef = np.zeros(G.shape[0])
         for j in J0:
             coef[slices[j]] = rng.standard_normal(slices[j].stop - slices[j].start)
-        gap = population_projection_gap(G, slices, J, J0, coef)
+        gap = population_projection_gap(G, slices, J, coef)
         c2 = np.zeros_like(coef)
         for j in missed:
             c2[slices[j]] = coef[slices[j]]
@@ -121,7 +121,7 @@ def test_criterion_04_sup_norm_ratio_bound():
                         (GaussianCopulaDensity(r=0.3), "copula r=0.3"),
                         (GaussianCopulaDensity(r=0.6), "copula r=0.6")):
         phi = phi_2qstar(spec, dens, qstar, grid_size=4096, budget=4096 ** 2)
-        eps, _ = epsilon_constants(spec, dens, qstar)
+        eps, _ = PopulationGeometry(spec, dens, qstar).epsilons()
         c = dens.c
         if phi ** 2 > 2.0 / (c * (1.0 - eps)) + 1e-10:
             failures.append(label)

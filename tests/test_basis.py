@@ -218,3 +218,31 @@ def test_basis_matrix_first_harmonic_is_bitwise_direct():
 def test_basis_matrix_empty_indices():
     assert basis_matrix(np.arange(2, 2), np.linspace(0.0, 1.0, 7)).shape == (7, 0)
     assert basis_matrix([], np.linspace(0.0, 1.0, 7)).shape == (7, 0)
+
+
+_TILT = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+
+
+@pytest.mark.parametrize("make,m", [
+    (UniformDensity, 5),
+    (lambda: GaussianCopulaDensity(r=0.3), 5),
+    (lambda: TableDensity(tables={j: _TILT for j in range(4)}), 5),
+    (lambda: GaussianCopulaDensity(r=0.3), (5, 3, 5, 3)),
+], ids=["uniform", "copula0.3", "custom-density", "copula-unequal-m"])
+def test_population_gram_memo_is_the_per_pair_build(make, m, monkeypatch):
+    # under an exchangeable law each distinct block is computed once; the
+    # same law declared non-exchangeable computes every block on its own
+    from addsel import basis
+    spec = BasisSpec.create(4, m)
+    density = make()
+    density.exchangeable = True
+    calls = []
+    moments = basis.marginal_moments
+    monkeypatch.setattr(basis, "marginal_moments",
+                        lambda *a: calls.append(a[2]) or moments(*a))
+    G = population_gram(spec, density, range(4))
+    assert len(calls) == len(set(spec.m))
+    density.exchangeable = False
+    ref = population_gram(spec, density, range(4))
+    assert len(calls) == len(set(spec.m)) + 4
+    assert G.tobytes() == ref.tobytes()

@@ -249,7 +249,7 @@ TABLE = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
 def test_cli_diagnose_custom_density_uses_population_rho(tmp_path):
     # independent but non-uniform marginals: the centered trig blocks are not
     # mean-zero, so rho is not 0 and must come from the population Gram
-    from addsel import BasisSpec, rho_qstar
+    from addsel import BasisSpec, PopulationGeometry
     from addsel import density_from_config
     text = ("design.kind = custom-density\n"
             f"design.table = {', '.join(repr(float(v)) for v in TABLE)}\n"
@@ -258,7 +258,7 @@ def test_cli_diagnose_custom_density_uses_population_rho(tmp_path):
     assert main(["diagnose", "--config", _write(tmp_path, text), "--out", out]) == 0
     _, report = _lines(out)
     density = density_from_config(parse_config(text))
-    expected = rho_qstar(BasisSpec.create(4, 5), density, 2)
+    expected = PopulationGeometry(BasisSpec.create(4, 5), density, 2).rho()
     assert report["rho"] == expected
     assert abs(expected - 0.5517) < 1e-3
 
@@ -269,12 +269,12 @@ WIDE = ("design.kind = independent-uniform\nn = 400\nq = 40\ns = 2\nqstar = 3\n"
 
 def test_cli_diagnose_uniform_takes_event_E_from_rip(tmp_path, monkeypatch):
     # P_U = I under the uniform law: no population Gram, no second union pass
-    from addsel import diagnostics
+    from addsel import diagnostics, geometry
 
     def second_pass(*args, **kwargs):
         raise AssertionError("the uniform law needs no whitened pass")
 
-    monkeypatch.setattr(diagnostics, "full_block_gram", second_pass)
+    monkeypatch.setattr(geometry, "full_block_gram", second_pass)
     monkeypatch.setattr(diagnostics, "event_E_from_grams", second_pass)
     out = str(tmp_path / "diag.jsonl")
     assert main(["diagnose", "--config", _write(tmp_path, WIDE), "--out", out]) == 0
@@ -314,7 +314,7 @@ def test_cli_diagnose_custom_density_still_whitens(tmp_path):
 
 @pytest.mark.parametrize("law", ["uniform", "custom-density"])
 def test_diagnose_library_call_is_the_cli_report(tmp_path, law):
-    from addsel.cli import _Encoder
+    from addsel.cli import _plain
     from addsel.diagnostics import diagnose
     text = "n = 200\nq = 4\ns = 2\nqstar = 2\nm_rule = fixed:5\nseed = 3\n"
     if law == "custom-density":
@@ -324,4 +324,4 @@ def test_diagnose_library_call_is_the_cli_report(tmp_path, law):
     assert main(["diagnose", "--config", _write(tmp_path, text), "--out", out]) == 0
     with open(out) as fh:
         report_line = fh.read().splitlines()[1]
-    assert json.dumps(diagnose(parse_config(text)), cls=_Encoder, sort_keys=True) == report_line
+    assert json.dumps(_plain(diagnose(parse_config(text))), sort_keys=True) == report_line

@@ -170,7 +170,7 @@ def test_event_E_matches_rip_for_uniform_population():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_event_E_check_identity_law_builds_no_population_gram(seed, monkeypatch):
     # the RIP pass stands in for the whitened pass on the quadrature Gram
-    from addsel import diagnostics
+    from addsel import geometry
     rng = np.random.default_rng(seed)
     X = rng.random((200, 5))
     spec = BasisSpec.create(5, 4)
@@ -180,7 +180,7 @@ def test_event_E_check_identity_law_builds_no_population_gram(seed, monkeypatch)
     def no_gram(*args, **kwargs):
         raise AssertionError("the uniform law needs no population Gram")
 
-    monkeypatch.setattr(diagnostics, "full_block_gram", no_gram)
+    monkeypatch.setattr(geometry, "full_block_gram", no_gram)
     for J0 in [(), (1, 3)]:
         _, expected = event_E_from_grams(G_emp, G_pop, slices, 2, J0, 0.5)
         holds, dev = event_E_check(Dataset(X, np.zeros(200)), spec, UniformDensity(),
@@ -308,11 +308,11 @@ def test_identity_population_gram_gives_event_E_equal_to_rip(seed):
     # so P_U^{-1/2} G_emp[U, U] P_U^{-1/2} = G_emp[U, U] and E's deviation is the
     # RIP constant over the same unions; the quadrature G_pop agrees to rounding
     from addsel.basis import full_block_gram
-    from addsel.geometry import population_gram_is_identity
+    from addsel.geometry import PopulationGeometry
     rng = np.random.default_rng(seed)
     spec = BasisSpec.create(9, 4)
     blocks = build_design_blocks(rng.random((120, 9)), spec)
-    assert population_gram_is_identity(UniformDensity())
+    assert PopulationGeometry(spec, UniformDensity(), 3).identity
     G_pop, slices = full_block_gram(spec, UniformDensity())
     sampled = sample_subsets(9, 3, 40, seed=seed)
     for J0, subsets in (((), None), ((2, 7), None), ((4,), sampled)):

@@ -3,13 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from addsel import (AssumptionError, BasisSpec, BudgetError, GaussianCopulaDensity,
-                    TableDensity, UniformDensity, check_ric_chain, epsilon_constants,
+                    PopulationGeometry, TableDensity, UniformDensity, check_ric_chain,
                     geometry_report, kappa_values, min_angle_cos, phi_2qstar,
-                    population_gram, rho_qstar, sup_norm_ratio,
-                    verify_angle_equivalence)
+                    population_gram, sup_norm_ratio, verify_angle_equivalence)
 from addsel.geometry import (_inv_sqrt, count_disjoint_pairs, count_subsets_up_to,
                              epsilons_from_gram, population_projection_gap,
-                             representative_spec, rho_from_gram, subsets_up_to)
+                             rho_from_gram, subsets_up_to)
 from addsel.basis import block_columns, full_block_gram
 from addsel.simulate import AdditiveModel, density_from_config
 
@@ -32,7 +31,7 @@ def test_min_angle_cos_is_top_singular_value():
 
 def test_rho_zero_for_independent_design():
     spec = BasisSpec.create(4, 5)
-    assert rho_qstar(spec, UniformDensity(), 2) < 1e-10
+    assert PopulationGeometry(spec, UniformDensity(), 2).rho() < 1e-10
 
 
 def test_rho_matches_direct_computation_for_two_covariates():
@@ -41,7 +40,7 @@ def test_rho_matches_direct_computation_for_two_covariates():
     G = population_gram(spec, dens, [0, 1])
     d = 3
     direct = min_angle_cos(G[:d, :d], G[d:, d:], G[:d, d:])
-    npt.assert_allclose(rho_qstar(spec, dens, 1), direct, rtol=1e-12)
+    npt.assert_allclose(PopulationGeometry(spec, dens, 1).rho(), direct, rtol=1e-12)
 
 
 def test_eps_equals_rho_for_two_blocks():
@@ -49,17 +48,17 @@ def test_eps_equals_rho_for_two_blocks():
     # equals the top singular value of C, i.e. the angle cosine
     spec = BasisSpec.create(2, 4)
     dens = GaussianCopulaDensity(r=0.4)
-    rho = rho_qstar(spec, dens, 1)
-    eps1, eps_prime1 = epsilon_constants(spec, dens, 1)
+    rho = PopulationGeometry(spec, dens, 1).rho()
+    eps1, eps_prime1 = PopulationGeometry(spec, dens, 1).epsilons()
     npt.assert_allclose(eps1, rho, rtol=1e-10)
     # singleton normalized Grams are identities, so eps'_1 = 0 exactly
     assert eps_prime1 == 0.0
-    eps2, eps_prime2 = epsilon_constants(spec, dens, 2)
+    eps2, eps_prime2 = PopulationGeometry(spec, dens, 2).epsilons()
     npt.assert_allclose(eps_prime2, rho, rtol=1e-10)
 
 
 def test_epsilons_vanish_for_independent_design():
-    eps, eps_prime = epsilon_constants(BasisSpec.create(3, 5), UniformDensity(), 2)
+    eps, eps_prime = PopulationGeometry(BasisSpec.create(3, 5), UniformDensity(), 2).epsilons()
     assert eps < 1e-10 and eps_prime < 1e-10
 
 
@@ -141,13 +140,13 @@ def test_projection_gap_uniform():
     coef[slices[0].start] = 1.0           # phi_2 on covariate 0
     coef[slices[1].start] = np.sqrt(2.0)  # phi_2 on covariate 1
     # projecting onto a superset of the support leaves no residual
-    npt.assert_allclose(population_projection_gap(G, slices, (0, 1), (0, 1), coef),
+    npt.assert_allclose(population_projection_gap(G, slices, (0, 1), coef),
                         0.0, atol=1e-8)
     # projecting onto a disjoint set leaves the full squared norm
-    npt.assert_allclose(population_projection_gap(G, slices, (2, 3), (0, 1), coef),
+    npt.assert_allclose(population_projection_gap(G, slices, (2, 3), coef),
                         3.0, atol=1e-8)
     # dropping covariate 1 leaves its energy
-    npt.assert_allclose(population_projection_gap(G, slices, (0,), (0, 1), coef),
+    npt.assert_allclose(population_projection_gap(G, slices, (0,), coef),
                         2.0, atol=1e-8)
 
 
@@ -212,13 +211,13 @@ def test_exchangeable_reduction_is_bitwise_exact(density, q, qstar, m):
     # the uniform law's population Gram is the identity: rho and eps are exact
     # zeros, not the quadrature noise a full enumeration leaves (~1e-15)
     spec = BasisSpec.create(q, m)
-    assert representative_spec(spec, density, qstar).q == min(q, 2 * qstar)
+    assert PopulationGeometry(spec, density, qstar).k == min(q, 2 * qstar)
     full = _full_enumeration(spec, density, qstar, 64)
     if isinstance(density, UniformDensity):
         full = (0.0, 0.0, 0.0, full[3])
     assert _report_values(spec, density, qstar, 64) == full
-    assert rho_qstar(spec, density, qstar) == full[0]
-    assert epsilon_constants(spec, density, qstar) == full[1:3]
+    assert PopulationGeometry(spec, density, qstar).rho() == full[0]
+    assert PopulationGeometry(spec, density, qstar).epsilons() == full[1:3]
     assert phi_2qstar(spec, density, qstar, grid_size=64) == full[3]
 
 
@@ -227,10 +226,10 @@ def test_exchangeable_reduction_is_bitwise_exact(density, q, qstar, m):
                          ids=["table-on-last", "unequal-m"])
 def test_full_enumeration_when_not_exchangeable(density, m):
     spec = BasisSpec.create(5, m)
-    assert representative_spec(spec, density, 1) is spec
+    assert PopulationGeometry(spec, density, 1).k == spec.q
     full = _full_enumeration(spec, density, 1, 64)
     assert _report_values(spec, density, 1, 64) == full
-    assert rho_qstar(spec, density, 1) == full[0]
+    assert PopulationGeometry(spec, density, 1).rho() == full[0]
     assert phi_2qstar(spec, density, 1, grid_size=64) == full[3]
     # the last covariate matters here: a spec cut to the first two would miss it
     cut = _full_enumeration(BasisSpec(q=2, m=spec.m[:2]), density, 1, 64)
@@ -279,15 +278,14 @@ def test_geometry_report_phi_grid():
 
 
 def test_population_gram_is_identity_declared():
-    from addsel.geometry import population_gram_is_identity
     spec = BasisSpec.create(4, 4)
     for density in (UniformDensity(), GaussianCopulaDensity(r=0.0)):
-        assert population_gram_is_identity(density)
+        assert PopulationGeometry(spec, density, 1).identity
         G, _ = full_block_gram(spec, density)
         npt.assert_allclose(G, np.eye(len(G)), rtol=0.0, atol=1e-12)
     # a copula or a table moves the Gram off the identity
     for density in (GaussianCopulaDensity(r=0.3), TableDensity(tables={2: _TILT})):
-        assert not population_gram_is_identity(density)
+        assert not PopulationGeometry(spec, density, 1).identity
         G, _ = full_block_gram(spec, density)
         assert np.abs(G - np.eye(len(G))).max() > 1e-3
 
@@ -300,11 +298,11 @@ def test_custom_density_law_reduction_is_bitwise_exact(q, qstar, m):
                                    "q": q})
     assert density.exchangeable
     spec = BasisSpec.create(q, m)
-    assert representative_spec(spec, density, qstar).q == 2 * qstar
+    assert PopulationGeometry(spec, density, qstar).k == 2 * qstar
     full = _full_enumeration(spec, density, qstar, 64)
     assert _report_values(spec, density, qstar, 64) == full
-    assert rho_qstar(spec, density, qstar) == full[0]
-    assert epsilon_constants(spec, density, qstar) == full[1:3]
+    assert PopulationGeometry(spec, density, qstar).rho() == full[0]
+    assert PopulationGeometry(spec, density, qstar).epsilons() == full[1:3]
     assert phi_2qstar(spec, density, qstar, grid_size=64) == full[3]
     assert full[0] > 0.1  # the tables couple the blocks
 
@@ -312,4 +310,40 @@ def test_custom_density_law_reduction_is_bitwise_exact(q, qstar, m):
 def test_tables_on_some_covariates_stay_non_exchangeable():
     assert not TableDensity(tables={0: _TILT, 1: _TILT}).exchangeable
     spec = BasisSpec.create(5, 4)
-    assert representative_spec(spec, TableDensity(tables={0: _TILT, 1: _TILT}), 1) is spec
+    assert PopulationGeometry(spec, TableDensity(tables={0: _TILT, 1: _TILT}), 1).k == spec.q
+
+
+def test_density_subclass_declares_no_shortcut():
+    # a law that overrides marginal_pdf but declares nothing gets neither the
+    # identity shortcut nor the exchangeable cut: rho is that of the same
+    # marginal given as a custom-density table
+    from addsel import Density
+
+    class Tilted(Density):
+        def marginal_pdf(self, j, x):
+            return 1.0 + 0.8 * np.cos(2 * np.pi * np.asarray(x, dtype=float))
+
+    geo = PopulationGeometry(BasisSpec.create(4, 5), Tilted(), 2)
+    assert not geo.identity and geo.k == 4
+    assert abs(geo.rho() - 0.5517) < 1e-3
+
+
+_COPULA_DIAGNOSE = {"design.kind": "gaussian-copula", "design.r": 0.3, "n": 200, "q": 8,
+                    "s": 2, "qstar": 2, "m_rule": "fixed:5", "delta": 0.5, "seed": 3}
+_TABLE_EQ7 = {"design.kind": "custom-density", "design.table": _TILT, "n": 200, "q": 4,
+              "s": 2, "qstar": 2, "m_rule": "eq7", "cprime": 0.05, "trials": 1, "seed": 3}
+
+
+@pytest.mark.parametrize("run,over", [("diagnose", _COPULA_DIAGNOSE),
+                                      ("run_trials", _TABLE_EQ7)],
+                         ids=["copula-diagnose", "custom-density-eq7"])
+def test_one_population_gram_per_run(run, over, monkeypatch):
+    # rho, eps and event E read one Gram of V_1..V_q
+    from addsel import diagnostics, geometry, simulate
+    from addsel.config import DEFAULTS
+    calls = []
+    build = geometry.full_block_gram
+    monkeypatch.setattr(geometry, "full_block_gram",
+                        lambda *a: calls.append(a) or build(*a))
+    getattr(diagnostics if run == "diagnose" else simulate, run)({**DEFAULTS, **over})
+    assert len(calls) == 1

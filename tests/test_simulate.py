@@ -168,7 +168,7 @@ def test_decay_experiment_exact_case():
 
 def test_run_trials_eq7_custom_density_uses_population_rho(monkeypatch):
     # the eq7 truncation level must see the non-zero rho of a non-uniform marginal
-    from addsel import BasisSpec, epsilon_constants, rho_qstar, simulate
+    from addsel import BasisSpec, PopulationGeometry, simulate
     table = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
     seen = []
 
@@ -181,7 +181,7 @@ def test_run_trials_eq7_custom_density_uses_population_rho(monkeypatch):
                **{"design.kind": "custom-density", "design.table": table})
     run_trials(cfg)
     density = density_from_config(cfg)
-    probe = BasisSpec.create(4, 6)
-    expected = (rho_qstar(probe, density, 2), epsilon_constants(probe, density, 2)[1])
+    probe = PopulationGeometry(BasisSpec.create(4, 6), density, 2)
+    expected = (probe.rho(), probe.epsilons()[1])
     assert seen == [expected, expected]
     assert expected[0] > 0.5
