@@ -13,6 +13,10 @@ from .errors import AddselError, ConfigError
 QUAD_NODES_1D = 2048
 #: nodes per axis for pairwise (dependent-covariate) integrals
 QUAD_NODES_2D = 512
+#: most principal submatrices stacked into one batched eigenvalue call; the
+#: stack and its LAPACK workspace stay a few MB instead of growing with the
+#: number of sets
+EIG_CHUNK = 256
 
 
 def eval_basis(k: int, x: float) -> float:
@@ -128,6 +132,44 @@ def block_columns(slices, J) -> np.ndarray:
     if not J:
         return np.zeros(0, dtype=int)
     return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in sorted(J)])
+
+
+def block_column_chunks(slices, block_sets):
+    """Ascending block sets grouped by column count, in chunks of at most EIG_CHUNK.
+
+    Yields (members, cols): members are (position in ``block_sets``, set)
+    pairs, ascending within the chunk; cols is the (k, d) array of their
+    column indices, row i equal to ``block_columns(slices, set_i)``. Sets
+    without columns are skipped.
+    """
+    starts = np.array([s.start for s in slices], dtype=int)
+    widths = [s.stop - s.start for s in slices]
+    groups = {}
+    for pos, J in enumerate(block_sets):
+        sig = tuple(widths[j] for j in J)
+        if sum(sig):
+            groups.setdefault(sum(sig), []).append((pos, J, sig))
+    for d in sorted(groups):
+        members = groups[d]
+        for lo in range(0, len(members), EIG_CHUNK):
+            chunk = members[lo:lo + EIG_CHUNK]
+            rows_by_sig = {}
+            for row, (_, _, sig) in enumerate(chunk):
+                rows_by_sig.setdefault(sig, []).append(row)
+            cols = np.empty((len(chunk), d), dtype=int)
+            for sig, rows in rows_by_sig.items():
+                # one broadcast for all sets of this block-width signature:
+                # column t of such a set is start(block b_t) + (t - offset of b_t)
+                block_of = np.repeat(np.arange(len(sig)), sig)
+                within = np.arange(d) - np.repeat(np.cumsum(sig) - sig, sig)
+                U = np.array([chunk[r][1] for r in rows])
+                cols[rows] = starts[U][:, block_of] + within
+            yield [(pos, J) for pos, J, _ in chunk], cols
+
+
+def principal_submatrices(G, cols):
+    """The principal submatrices G[c, c] for each row c of cols, stacked."""
+    return G[cols[:, :, None], cols[:, None, :]]
 
 
 @dataclass

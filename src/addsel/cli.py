@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 import numpy as np
@@ -18,18 +16,6 @@ from .estimate import rate_experiment
 from .simulate import density_from_config, model_from_config, run_trials
 
 ARTIFACT_VERSION = 1
-
-log = logging.getLogger("addsel")
-
-
-def _setup_logging():
-    level = os.environ.get("ADDSEL_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        raise ConfigError(f"ADDSEL_LOG must be one of error|info|debug, got {level!r}")
-    logging.basicConfig(level=levels[level], stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -107,7 +93,6 @@ def _plain(o):
 
 def main(argv=None) -> int:
     try:
-        _setup_logging()
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -127,7 +112,6 @@ def main(argv=None) -> int:
 
     try:
         emit(_manifest(args, cfg))
-        log.info("running %s with config %s", args.command, args.config)
         COMMANDS[args.command](cfg, emit)
         return 0
     except ConfigError as exc:

@@ -6,11 +6,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-_INT = ("n", "q", "s", "qstar", "trials", "seed", "threads", "target",
-        "m_target", "reps")
-_FLOAT = ("sigma", "alpha", "K", "kappa1", "design.r", "cprime", "delta",
-          "tail_fraction")
-
 DEFAULTS = {
     "n": 200,
     "q": 8,
@@ -66,11 +61,9 @@ def load_config(path) -> dict:
 
 
 def _convert(key, value, lineno):
+    """``value`` as the type of the key's default; ``n_grid`` is a list of ints and
+    ``design.table`` an array of floats."""
     try:
-        if key in _INT:
-            return int(value)
-        if key in _FLOAT:
-            return float(value)
         if key == "n_grid":
             grid = [int(v) for v in value.split(",") if v.strip()]
             if not grid:
@@ -78,7 +71,7 @@ def _convert(key, value, lineno):
             return grid
         if key == "design.table":
             return np.array([float(v) for v in value.split(",") if v.strip()])
-        return value
+        return type(DEFAULTS[key])(value)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {value!r} ({exc})") from exc
 

@@ -26,8 +26,8 @@ class Density:
     #: the law of X is invariant under permutations of the covariates; with
     #: equal truncation levels, subsets then differ only by their labels
     exchangeable = False
-    #: lower bound c with c <= p_j <= 1/c for all marginals
-    c = 1.0
+    #: lower bound c with c <= p_j <= 1/c for all marginals; None: not declared
+    c = None
 
     def uniform_marginal(self, j: int) -> bool:
         """Whether covariate j is Uniform[0,1], so the trig system is orthonormal on it."""
@@ -48,6 +48,7 @@ class UniformDensity(Density):
     """Independent Uniform[0,1] covariates."""
 
     independent = uniform_marginals = exchangeable = True
+    c = 1.0
 
     def sample(self, n, q, rng):
         return rng.random((n, q))

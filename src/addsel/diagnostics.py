@@ -6,20 +6,14 @@ from math import comb, exp, log, sqrt
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, \
-    marginal_moments, trig_series
+from .basis import BasisSpec, DesignBlocks, basis_matrix, block_column_chunks, \
+    build_design_blocks, marginal_moments, principal_submatrices, trig_series
 from .config import fixed_m
 from .densities import Density
 from .errors import AssumptionError, BudgetError, ConfigError
 from .geometry import DEFAULT_BUDGET, EIG_FLOOR, PopulationGeometry, count_subsets_up_to, \
     kappa_values, singular_gram_error, subsets_up_to
 from .simulate import density_from_config, model_from_config
-
-#: most principal submatrices stacked into one batched eigenvalue call; the
-#: stack and its LAPACK workspace stay a few MB instead of growing with the
-#: number of unions
-EIG_CHUNK = 256
-
 
 def _union_collection(q, qstar, J0, subsets=None, budget=DEFAULT_BUDGET):
     """Deduplicated J cup J0 column sets over all candidate J."""
@@ -60,43 +54,6 @@ def sample_subsets(q, qstar, n_samples, seed=0):
     return sorted(set(out))
 
 
-def _union_chunks(slices, qstar, J0, subsets, budget):
-    """Unions J u J0 grouped by column count, in chunks of at most EIG_CHUNK.
-
-    Yields (members, cols): members are (position in enumeration order,
-    union) pairs, ascending within the chunk; cols is the (k, d) array of
-    their column indices, row i equal to ``block_columns(slices, union_i)``.
-    """
-    starts = np.array([s.start for s in slices], dtype=int)
-    widths = [s.stop - s.start for s in slices]
-    groups = {}
-    for pos, union in enumerate(_union_collection(len(slices), qstar, J0, subsets, budget)):
-        sig = tuple(widths[j] for j in union)
-        if sum(sig):
-            groups.setdefault(sum(sig), []).append((pos, union, sig))
-    for d in sorted(groups):
-        members = groups[d]
-        for lo in range(0, len(members), EIG_CHUNK):
-            chunk = members[lo:lo + EIG_CHUNK]
-            rows_by_sig = {}
-            for row, (_, _, sig) in enumerate(chunk):
-                rows_by_sig.setdefault(sig, []).append(row)
-            cols = np.empty((len(chunk), d), dtype=int)
-            for sig, rows in rows_by_sig.items():
-                # one broadcast for all unions of this block-width signature:
-                # column t of such a union is start(block b_t) + (t - offset of b_t)
-                block_of = np.repeat(np.arange(len(sig)), sig)
-                within = np.arange(d) - np.repeat(np.cumsum(sig) - sig, sig)
-                U = np.array([chunk[r][1] for r in rows])
-                cols[rows] = starts[U][:, block_of] + within
-            yield [(pos, union) for pos, union, _ in chunk], cols
-
-
-def _stacked(G, cols):
-    """The principal submatrices G[c, c] for each row c of cols, stacked."""
-    return G[cols[:, :, None], cols[:, None, :]]
-
-
 def _max_deviation(w):
     """max over a stack of ascending eigenvalue rows of max(w_max - 1, 1 - w_min)."""
     return float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])))
@@ -109,10 +66,11 @@ def rip_constant(blocks: DesignBlocks, qstar: int, J0=(), subsets=None,
     With an explicit ``subsets`` collection the result is the maximum over
     that collection only (a lower bound of the full constant).
     """
-    G = blocks.full_gram()
+    G, slices = blocks.full_gram(), blocks.slices()
+    unions = _union_collection(len(slices), qstar, J0, subsets, budget)
     delta = 0.0
-    for _, cols in _union_chunks(blocks.slices(), qstar, J0, subsets, budget):
-        delta = max(delta, _max_deviation(np.linalg.eigvalsh(_stacked(G, cols))))
+    for _, cols in block_column_chunks(slices, unions):
+        delta = max(delta, _max_deviation(np.linalg.eigvalsh(principal_submatrices(G, cols))))
     return delta
 
 
@@ -126,8 +84,9 @@ def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float,
     """
     worst = 0.0
     singular = None  # (position, union, min eigenvalue) of the first singular union
-    for members, cols in _union_chunks(slices, qstar, J0, subsets, budget):
-        P = _stacked(G_pop, cols)
+    unions = _union_collection(len(slices), qstar, J0, subsets, budget)
+    for members, cols in block_column_chunks(slices, unions):
+        P = principal_submatrices(G_pop, cols)
         w, V = np.linalg.eigh(0.5 * (P + P.transpose(0, 2, 1)))
         bad = np.flatnonzero(w[:, 0] <= EIG_FLOOR)
         if len(bad):
@@ -137,7 +96,8 @@ def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float,
         if singular is not None:
             continue  # the call raises; the remaining deviations are not needed
         W = (V * w[:, None, :] ** -0.5) @ V.transpose(0, 2, 1)
-        worst = max(worst, _max_deviation(np.linalg.eigvalsh(W @ _stacked(G_emp, cols) @ W)))
+        E = principal_submatrices(G_emp, cols)
+        worst = max(worst, _max_deviation(np.linalg.eigvalsh(W @ E @ W)))
     if singular is not None:
         _, union, min_eig = singular
         raise singular_gram_error(f"population Gram on {union}", min_eig)

@@ -9,8 +9,8 @@ from math import ceil, comb, log2
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, block_columns, block_slices, full_block_gram, \
-    midpoint_nodes, population_gram
+from .basis import BasisSpec, basis_matrix, block_column_chunks, block_columns, block_slices, \
+    full_block_gram, midpoint_nodes, population_gram, principal_submatrices
 from .densities import Density
 from .errors import AssumptionError, BudgetError, SingularBlockError
 
@@ -62,18 +62,21 @@ def _inv_sqrt(G, label="block"):
     return (V * w ** -0.5) @ V.T
 
 
+def _whitened_cos(W1, G12, W2) -> float:
+    """Top singular value of W1 G12 W2, clipped to [0, 1]; 0 when it is empty."""
+    s = np.linalg.svd(W1 @ np.atleast_2d(G12) @ W2, compute_uv=False)
+    if len(s) == 0:
+        return 0.0
+    return float(np.clip(s[0], 0.0, 1.0))
+
+
 def min_angle_cos(G11, G22, G12) -> float:
     """Cosine of the minimal angle between two subspaces given their Grams.
 
     Equals the largest singular value of G11^{-1/2} G12 G22^{-1/2}, which is
     sup <h1,h2>/(|h1||h2|) over the two subspaces.
     """
-    W1 = _inv_sqrt(G11, "G11")
-    W2 = _inv_sqrt(G22, "G22")
-    s = np.linalg.svd(W1 @ np.atleast_2d(G12) @ W2, compute_uv=False)
-    if len(s) == 0:
-        return 0.0
-    return float(np.clip(s[0], 0.0, 1.0))
+    return _whitened_cos(_inv_sqrt(G11, "G11"), G12, _inv_sqrt(G22, "G22"))
 
 
 def subsets_up_to(q, size, include_empty=False):
@@ -102,7 +105,12 @@ def count_disjoint_pairs(q, qstar):
 
 
 def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
-    """Max of min_angle_cos over all disjoint subset pairs with sizes <= qstar."""
+    """Max of min_angle_cos over all disjoint subset pairs with sizes <= qstar.
+
+    Each subset with columns is whitened once, in enumeration order, so the
+    first numerically singular V_J raises. A subset of all q blocks has no
+    disjoint partner and is not whitened.
+    """
     q = len(slices)
     n_pairs = count_disjoint_pairs(q, qstar)
     if n_pairs > budget:
@@ -111,44 +119,50 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
             "reduce qstar or restrict the covariates",
             count=n_pairs, budget=budget,
         )
+    subs, cols, W = [], [], []
+    for J in subsets_up_to(q, min(qstar, q - 1)):
+        c = block_columns(slices, J)
+        if len(c):
+            subs.append(set(J))
+            cols.append(c)
+            W.append(_inv_sqrt(G[np.ix_(c, c)], f"V_J for J={list(J)}"))
     rho = 0.0
-    subs = list(subsets_up_to(q, qstar))
-    for i, J1 in enumerate(subs):
-        c1 = block_columns(slices, J1)
-        G11 = G[np.ix_(c1, c1)]
-        for J2 in subs[i + 1:]:
-            if set(J1) & set(J2):
-                continue
-            c2 = block_columns(slices, J2)
-            rho = max(rho, min_angle_cos(G11, G[np.ix_(c2, c2)], G[np.ix_(c1, c2)]))
+    for a, J1 in enumerate(subs):
+        for b in range(a + 1, len(subs)):
+            if J1.isdisjoint(subs[b]):
+                rho = max(rho, _whitened_cos(W[a], G[np.ix_(cols[a], cols[b])], W[b]))
     return rho
 
 
-def _normalized_eig_range(G, slices, J):
-    """(lambda_min, lambda_max) of D_J^{-1/2} G_J D_J^{-1/2}."""
-    J = sorted(J)
-    c = block_columns(slices, J)
-    GJ = G[np.ix_(c, c)]
-    W = np.zeros_like(GJ)
-    for j, sl in zip(J, block_slices([slices[j].stop - slices[j].start for j in J])):
-        W[sl, sl] = _inv_sqrt(G[slices[j], slices[j]], f"block {j}")
-    w = np.linalg.eigvalsh(W @ GJ @ W)
-    return float(w[0]), float(w[-1])
-
-
 def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
-    """(eps_2qstar, eps_prime_qstar) from eigenvalue extremes of normalized Grams."""
+    """(eps_2qstar, eps_prime_qstar) from eigenvalue extremes of normalized Grams.
+
+    D_J^{-1/2} G_J D_J^{-1/2} is the principal submatrix on J of W G W, with W
+    the block-diagonal whitening of the blocks: each block is whitened once,
+    in block order, and the sets J with at least two blocks that have columns
+    are stacked and solved batched. A single block's normalized Gram is the
+    identity, so it contributes 0 to both extremes.
+    """
     q = len(slices)
-    _check_subset_budget(q, min(2 * qstar, q), budget)
-    eps_low = 0.0
-    eps_high = 0.0
-    for J in subsets_up_to(q, min(2 * qstar, q)):
-        if len(J) < 2:
-            continue  # single blocks contribute 0 to both extremes
-        lo, hi = _normalized_eig_range(G, slices, J)
-        eps_low = max(eps_low, 1.0 - lo)
-        if len(J) <= qstar:
-            eps_high = max(eps_high, hi - 1.0)
+    size = min(2 * qstar, q)
+    _check_subset_budget(q, size, budget)
+    eps_low = eps_high = 0.0
+    if q < 2:
+        return eps_low, eps_high
+    W = np.zeros_like(G)
+    nonempty = set()
+    for j, sl in enumerate(slices):
+        if sl.stop > sl.start:
+            W[sl, sl] = _inv_sqrt(G[sl, sl], f"block {j}")
+            nonempty.add(j)
+    sets = (J for J in subsets_up_to(q, size) if len(nonempty.intersection(J)) >= 2)
+    for members, cols in block_column_chunks(slices, sets):
+        Ws = principal_submatrices(W, cols)
+        w = np.linalg.eigvalsh(Ws @ principal_submatrices(G, cols) @ Ws)
+        eps_low = max(eps_low, float(np.max(1.0 - w[:, 0])))
+        small = [len(J) <= qstar for _, J in members]
+        if any(small):
+            eps_high = max(eps_high, float(np.max(w[small, -1] - 1.0)))
     return eps_low, eps_high
 
 

@@ -237,12 +237,6 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert first["command"] == "geometry"
 
 
-def test_cli_bad_log_level(tmp_path, monkeypatch):
-    monkeypatch.setenv("ADDSEL_LOG", "loud")
-    cfg = _write(tmp_path, SMALL)
-    assert main(["geometry", "--config", cfg]) == 2
-
-
 TABLE = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
 
 

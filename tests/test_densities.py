@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy.stats import norm
 
-from addsel import ConfigError, GaussianCopulaDensity, TableDensity, UniformDensity
+from addsel import ConfigError, Density, GaussianCopulaDensity, TableDensity, UniformDensity
 
 
 def test_uniform_sampling_range_and_shape():
@@ -124,3 +124,17 @@ def test_uniform_marginal_declared_per_covariate():
     dens = TableDensity(tables={1: table})
     assert dens.uniform_marginal(0) and dens.uniform_marginal(2)
     assert not dens.uniform_marginal(1)
+
+
+def test_density_subclass_declares_no_c():
+    # c in c <= p_j <= 1/c is declared, not inherited: a marginal 1 + 0.8 cos 2 pi x
+    # has c = 0.2, as its table says, not the base class's guess
+    table = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+
+    class Tilted(Density):
+        def marginal_pdf(self, j, x):
+            return 1.0 + 0.8 * np.cos(2 * np.pi * np.asarray(x, dtype=float))
+
+    assert Tilted().c is None
+    assert UniformDensity().c == GaussianCopulaDensity(r=0.5).c == 1.0
+    npt.assert_allclose(TableDensity(tables={0: table}).c, 0.2001, atol=1e-4)

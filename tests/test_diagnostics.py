@@ -8,8 +8,8 @@ from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset,
                     event_E_check, rip_constant, sample_subsets,
                     selection_error_bound, subset_count_bound,
                     truncation_residual_norm_sq)
-from addsel.basis import block_slices, build_design_blocks, full_block_gram
-from addsel.diagnostics import EIG_CHUNK, _union_collection, event_E_from_grams
+from addsel.basis import EIG_CHUNK, block_slices, build_design_blocks, full_block_gram
+from addsel.diagnostics import _union_collection, event_E_from_grams
 from addsel.errors import SingularBlockError
 from addsel.geometry import _inv_sqrt
 from addsel.simulate import AdditiveModel
@@ -325,8 +325,7 @@ def test_identity_population_gram_gives_event_E_equal_to_rip(seed):
 def test_union_chunks_equal_per_union_block_columns():
     # widths 3, 0, 5, 1, ... mix many block-width signatures in one column
     # count; the zero-width block drops out of every union it joins
-    from addsel.basis import block_columns
-    from addsel.diagnostics import _union_chunks
+    from addsel.basis import block_column_chunks, block_columns
     slices = block_slices([3, 0, 5, 1, 2, 4, 6, 2, 3, 1, 5, 2, 2, 2, 2, 2])
     full_chunks = 0
     for qstar, J0, subsets in ((4, (), None), (3, (1, 6), None),
@@ -341,7 +340,7 @@ def test_union_chunks_equal_per_union_block_columns():
             for lo in range(0, len(groups[d]), EIG_CHUNK):
                 chunk = groups[d][lo:lo + EIG_CHUNK]
                 expected.append(([(p, u) for p, u, _ in chunk], np.array([c for *_, c in chunk])))
-        got = list(_union_chunks(slices, qstar, J0, subsets, 10 ** 6))
+        got = list(block_column_chunks(slices, _union_collection(16, qstar, J0, subsets, 10 ** 6)))
         full_chunks += sum(len(members) == EIG_CHUNK for members, _ in got)
         assert len(got) == len(expected)
         for (members, cols), (ref_members, ref_cols) in zip(got, expected):

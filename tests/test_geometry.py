@@ -9,7 +9,8 @@ from addsel import (AssumptionError, BasisSpec, BudgetError, GaussianCopulaDensi
 from addsel.geometry import (_inv_sqrt, count_disjoint_pairs, count_subsets_up_to,
                              epsilons_from_gram, population_projection_gap,
                              rho_from_gram, subsets_up_to)
-from addsel.basis import block_columns, full_block_gram
+from addsel.basis import EIG_CHUNK, block_columns, block_slices, full_block_gram
+from addsel.errors import SingularBlockError
 from addsel.simulate import AdditiveModel, density_from_config
 
 
@@ -347,3 +348,88 @@ def test_one_population_gram_per_run(run, over, monkeypatch):
                         lambda *a: calls.append(a) or build(*a))
     getattr(diagnostics if run == "diagnose" else simulate, run)({**DEFAULTS, **over})
     assert len(calls) == 1
+
+
+def _eps_per_subset(G, slices, qstar):
+    """(eps, eps') from each subset's blocks whitened on their own and one eigvalsh per subset."""
+    eps_low = eps_high = 0.0
+    for J in subsets_up_to(len(slices), min(2 * qstar, len(slices))):
+        if len(J) < 2:
+            continue
+        c = block_columns(slices, J)
+        W = np.zeros((len(c), len(c)))
+        for j, sl in zip(J, block_slices([slices[j].stop - slices[j].start for j in J])):
+            W[sl, sl] = _inv_sqrt(G[slices[j], slices[j]], f"block {j}")
+        w = np.linalg.eigvalsh(W @ G[np.ix_(c, c)] @ W)
+        eps_low = max(eps_low, 1.0 - float(w[0]))
+        if len(J) <= qstar:
+            eps_high = max(eps_high, float(w[-1]) - 1.0)
+    return eps_low, eps_high
+
+
+def _rho_per_pair(G, slices, qstar):
+    """rho from min_angle_cos on every disjoint pair, both sides whitened per pair."""
+    subs = list(subsets_up_to(len(slices), qstar))
+    rho = 0.0
+    for i, J1 in enumerate(subs):
+        c1 = block_columns(slices, J1)
+        for J2 in subs[i + 1:]:
+            if set(J1) & set(J2):
+                continue
+            c2 = block_columns(slices, J2)
+            rho = max(rho, min_angle_cos(G[np.ix_(c1, c1)], G[np.ix_(c2, c2)],
+                                         G[np.ix_(c1, c2)]))
+    return rho
+
+
+@pytest.mark.parametrize("q,m,density,qstars", [
+    (5, 4, GaussianCopulaDensity(r=0.3), (1, 2, 3)),
+    (6, 3, GaussianCopulaDensity(r=-0.1), (1, 2, 3)),
+    (6, 4, TableDensity(tables={0: _TILT, 3: _TILT[::-1]}), (1, 2, 3)),
+    (6, (3, 5, 4, 6, 4, 2), GaussianCopulaDensity(r=0.4), (1, 2, 3)),
+    # C(14, 4) = 1001 sets of size 4 fill several chunks of one column count
+    (14, 3, GaussianCopulaDensity(r=0.3), (2,)),
+], ids=["copula0.3", "copula-0.1", "table-on-two", "mixed-m", "chunked"])
+def test_rho_and_eps_equal_per_subset_loops_bitwise(q, m, density, qstars):
+    # [DERIVED] the stacked pass whitens each block once and reads
+    # D_J^{-1/2} G_J D_J^{-1/2} as a principal submatrix of W G W: the same
+    # arrays meet the same BLAS and LAPACK calls as the per-subset loop, and rho
+    # runs min_angle_cos's arithmetic on subsets whitened once
+    from math import comb
+    assert q < 14 or comb(14, 4) > EIG_CHUNK
+    G, slices = full_block_gram(BasisSpec.create(q, m), density)
+    for qstar in qstars:
+        assert epsilons_from_gram(G, slices, qstar) == _eps_per_subset(G, slices, qstar)
+        assert rho_from_gram(G, slices, qstar) == _rho_per_pair(G, slices, qstar)
+
+
+def test_rho_error_names_first_singular_subset():
+    # blocks 0 and 1 span one space: V_{0,1} is singular although neither
+    # block is; then block 3 is made singular itself, and (3,) comes before
+    # (0, 1) in enumeration order
+    rng = np.random.default_rng(23)
+    slices = block_slices([2, 2, 2, 2])
+    F = rng.standard_normal((40, 8))
+    F[:, slices[1]] = F[:, slices[0]] @ rng.standard_normal((2, 2))
+    with pytest.raises(SingularBlockError) as exc:
+        rho_from_gram(F.T @ F / 40, slices, 2)
+    assert exc.value.block == "V_J for J=[0, 1]"
+    assert "V_J for J=[0, 1]" in str(exc.value)
+    F[:, 7] = F[:, 6]
+    with pytest.raises(SingularBlockError) as exc:
+        rho_from_gram(F.T @ F / 40, slices, 2)
+    assert exc.value.block == "V_J for J=[3]"
+
+
+@pytest.mark.parametrize("qstar", [1, 2])
+@pytest.mark.parametrize("r", [0.3, -0.2])
+def test_zero_width_block_leaves_rho_and_eps_unchanged(r, qstar):
+    # m_j = 1 gives V_j = {0}: the block adds no column to any subset, so rho
+    # and eps are those of the other blocks, and exact zeros beside one block
+    density = GaussianCopulaDensity(r=r)
+    padded = PopulationGeometry(BasisSpec.create(3, (5, 1, 5)), density, qstar)
+    plain = PopulationGeometry(BasisSpec.create(2, 5), density, qstar)
+    assert padded.rho() == plain.rho()
+    assert padded.epsilons() == plain.epsilons()
+    alone = PopulationGeometry(BasisSpec.create(2, (5, 1)), density, qstar)
+    assert alone.rho() == 0.0 and alone.epsilons() == (0.0, 0.0)

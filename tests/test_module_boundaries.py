@@ -1,15 +1,20 @@
-"""No addsel module imports an underscore name from another addsel module.
+"""No addsel module imports an underscore name from another addsel module,
+and each imports only the modules below it in one layer order.
 
 A leading underscore marks a helper as private to its module; a rule other
 modules need gets a public name in one home instead of a second copy or a
-reach into another module's internals. Each ``src/addsel/*.py`` is parsed,
-not imported.
+reach into another module's internals. The layer order says where that home
+can be: a helper both ``geometry`` and ``diagnostics`` use lives in ``basis``
+or lower. Each ``src/addsel/*.py`` is parsed, not imported.
 """
 
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "addsel").glob("*.py"))
+#: every module but ``__init__``, lowest first; each imports only modules before it
+LAYERS = ("errors", "config", "densities", "basis", "geometry", "selection", "simulate",
+          "diagnostics", "estimate", "cli")
 
 
 def _imports_from_addsel(node):
@@ -27,3 +32,25 @@ def test_no_private_names_imported_across_modules():
                 private += [f"{source.name}:{node.lineno}: {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert not private, private
+
+
+def _modules_imported(node):
+    """The addsel modules an import statement names."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("addsel.")]
+    if not _imports_from_addsel(node):
+        return []
+    parts = (node.module or "").split(".")[0 if node.level else 1:]
+    return [parts[0]] if parts and parts[0] else [alias.name for alias in node.names]
+
+
+def test_modules_import_only_lower_layers():
+    modules = [source for source in SOURCES if source.stem != "__init__"]
+    assert sorted(source.stem for source in modules) == sorted(LAYERS)
+    upward = []
+    for source in modules:
+        rank = LAYERS.index(source.stem)
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            upward += [f"{source.name}:{node.lineno}: {mod}" for mod in _modules_imported(node)
+                       if LAYERS.index(mod) >= rank]
+    assert not upward, upward
