@@ -109,18 +109,6 @@ def trig_series(theta, x) -> np.ndarray:
     return basis_matrix(np.arange(2, len(theta) + 2), x) @ theta
 
 
-def build_design_block(xcol, m: int):
-    """n x (m - 1) block with entries phi_k(x_i)/sqrt(n), k = 2..m."""
-    xcol = np.asarray(xcol, dtype=float)
-    if xcol.ndim != 1 or len(xcol) == 0:
-        raise AddselError("design column must be a nonempty 1-d array")
-    if np.any(xcol < 0.0) or np.any(xcol > 1.0):
-        raise AddselError("design entries must lie in [0,1]")
-    if m < 1:
-        raise AddselError(f"truncation level must be >= 1, got {m}")
-    return basis_matrix(np.arange(2, m + 1), xcol) / np.sqrt(len(xcol))
-
-
 def block_slices(dims):
     """Column slice of each block in the concatenation of blocks of the given widths."""
     offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
@@ -220,10 +208,20 @@ class DesignBlocks:
 
 
 def build_design_blocks(X, spec: BasisSpec) -> DesignBlocks:
+    """The one builder of a scaled design: block j holds phi_k(x_ij)/sqrt(n), k = 2..m_j,
+    so m_j = 1 leaves covariate j out (no columns, entries still range-checked)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.q:
         raise AddselError(f"design matrix must be n x {spec.q}")
-    return DesignBlocks([build_design_block(X[:, j], spec.m[j]) for j in range(spec.q)])
+    if X.shape[0] == 0:
+        raise AddselError("design column must be a nonempty 1-d array")
+    if np.any(X < 0.0) or np.any(X > 1.0):
+        raise AddselError("design entries must lie in [0,1]")
+    if min(spec.m, default=1) < 1:
+        raise AddselError(f"truncation level must be >= 1, got {min(spec.m)}")
+    scale = np.sqrt(X.shape[0])
+    return DesignBlocks([basis_matrix(spec.basis_indices(j), X[:, j]) / scale
+                         for j in range(spec.q)])
 
 
 def midpoint_nodes(n):

@@ -28,7 +28,6 @@ DEFAULTS = {
     "n_grid": [512, 1024, 2048, 4096],
     "reps": 10,
     "tail_fraction": 0.0,
-    "search": "exhaustive",
 }
 
 ALLOWED = set(DEFAULTS) | {"design.table"}
@@ -85,14 +84,16 @@ def _validate(cfg):
         raise ConfigError(f"need 1 <= qstar <= q, got qstar={cfg['qstar']}")
     if cfg["sigma"] < 0:
         raise ConfigError("sigma must be nonnegative")
+    if not cfg["alpha"] > 0:
+        raise ConfigError(f"alpha must be positive, got {cfg['alpha']}")
+    if min(cfg["n_grid"]) < 1:
+        raise ConfigError(f"n_grid entries must be positive, got {cfg['n_grid']}")
     if cfg["design.kind"] not in ("independent-uniform", "gaussian-copula",
                                   "custom-density"):
         raise ConfigError(f"unknown design.kind {cfg['design.kind']!r}")
     if not -1.0 < cfg["design.r"] < 1.0:
         raise ConfigError("design.r must lie in (-1, 1)")
     parse_m_rule(cfg["m_rule"])
-    if cfg["search"] not in ("exhaustive", "greedy"):
-        raise ConfigError(f"search must be 'exhaustive' or 'greedy', got {cfg['search']!r}")
     if cfg["trials"] < 1 or cfg["reps"] < 1:
         raise ConfigError("trials and reps must be positive")
     if not 0 <= cfg["target"] < cfg["q"]:

@@ -295,11 +295,13 @@ def diagnose(cfg: dict) -> dict:
     The design is drawn from the first child of ``cfg['seed']``, the model
     from the seed itself. Above 20,000 candidate sets, RIP and event E range
     over ``sample_subsets`` and ``subset_collection`` says so. ConfigError
-    when s = 0, since kappa is undefined for an empty active set.
+    when s = 0 (kappa is undefined) or delta = 0 (the c' condition needs 0 < delta).
     """
     if cfg["s"] < 1:
         raise ConfigError("diagnose needs s >= 1: kappa is undefined for an empty "
                           "active set")
+    if cfg["delta"] <= 0:
+        raise ConfigError("diagnose needs delta > 0: the c' condition requires 0 < delta < 1")
     q, qstar, delta, cprime = cfg["q"], cfg["qstar"], cfg["delta"], cfg["cprime"]
     spec = BasisSpec.create(q, fixed_m(cfg, "diagnose"))
     density = density_from_config(cfg)

@@ -7,11 +7,10 @@ from math import ceil
 
 import numpy as np
 
-from .basis import BasisSpec, block_slices, build_design_block, marginal_quadrature, \
-    trig_series
+from .basis import BasisSpec, build_design_blocks, marginal_quadrature, trig_series
 from .config import DEFAULTS, fixed_m
 from .densities import Density
-from .errors import AddselError, ConfigError
+from .errors import AddselError, AssumptionError, ConfigError
 from .selection import RANK_RTOL, Dataset, select_exhaustive
 from .simulate import AdditiveModel, density_from_config, gen_response, model_from_config
 
@@ -37,7 +36,9 @@ class ComponentEstimate:
 
 
 def default_m_target(n_half: int, alpha: float) -> int:
-    """Bias-variance balancing truncation level ~ n^(1/(2 alpha + 1))."""
+    """Bias-variance balancing truncation level ~ n^(1/(2 alpha + 1)), for alpha > 0."""
+    if not alpha > 0:
+        raise AssumptionError(f"smoothness alpha must be positive, got {alpha}")
     return max(1, int(ceil(n_half ** (1.0 / (2.0 * alpha + 1.0)))))
 
 
@@ -62,22 +63,19 @@ def estimate_component(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: fl
     result = select_exhaustive(first, spec, qstar, sigma2)
     J_fit = tuple(sorted(set(result.chosen) | {target}))
 
-    m_fit = list(spec.m)
+    # m_j = 1 outside J_fit: those covariates get blocks without columns
+    m_fit = [spec.m[j] if j in J_fit else 1 for j in range(spec.q)]
     m_fit[target] = max(m_target, 2)
-    fit_spec = BasisSpec.create(spec.q, tuple(m_fit))
-    X2, Y2 = dataset.X[n:], dataset.Y[n:]
-    if np.any(X2 < 0.0) or np.any(X2 > 1.0):
-        raise AddselError("design entries must lie in [0,1]")
-    # only the refit set's blocks: the other covariates play no part in the fit
-    A = np.concatenate([build_design_block(X2[:, j], fit_spec.m[j]) for j in J_fit], axis=1)
-    coef, _, _, s = np.linalg.lstsq(A, Y2 / np.sqrt(n), rcond=None)
+    design = build_design_blocks(dataset.X[n:], BasisSpec.create(spec.q, m_fit))
+    A = design.concat(J_fit)
+    coef, _, _, s = np.linalg.lstsq(A, dataset.Y[n:] / np.sqrt(n), rcond=None)
     if A.shape[1] > A.shape[0] or s[-1] <= RANK_RTOL * s[0]:
         raise AddselError(
             f"second-half design for J={J_fit} is rank deficient "
             f"(smallest/largest singular value {s[-1]:.3e}/{s[0]:.3e}); "
             "reduce m_target or increase n"
         )
-    theta = coef[block_slices([fit_spec.dim(j) for j in J_fit])[J_fit.index(target)]]
+    theta = coef[design.slices()[target]]
     return ComponentEstimate(target=target, coefficients=np.asarray(theta, dtype=float),
                              selected=result.chosen, m_target=m_target, n_half=n)
 
@@ -122,8 +120,8 @@ def rate_experiment(cfg: dict):
                           "an active covariate")
     n_grid = np.asarray(cfg["n_grid"], dtype=int)
     reps = int(cfg.get("reps", DEFAULTS["reps"]))
-    if len(n_grid) < 3 or np.any(np.diff(n_grid) <= 0):
-        raise AddselError("n_grid must be increasing with at least 3 points")
+    if len(n_grid) < 3 or np.any(np.diff(n_grid) <= 0) or n_grid[0] < 1:
+        raise AddselError("n_grid must be positive and increasing with at least 3 points")
     spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "estimate"))
     density = density_from_config(cfg)
     target = int(cfg.get("target", DEFAULTS["target"]))

@@ -206,9 +206,8 @@ def select_greedy(dataset: Dataset, spec: BasisSpec, qstar: int,
 
 def empirical_projection_gap(dataset: Dataset, spec: BasisSpec, J, J0, f_values,
                              blocks: DesignBlocks | None = None) -> float:
-    """|Pi_J0 f|_n^2 - |Pi_J f|_n^2 for given function values at the sample."""
+    """|Pi_J0 f|_n^2 - |Pi_J f|_n^2 for function values f at the sample, off one Gram."""
     if blocks is None:
         blocks = build_design_blocks(dataset.X, spec)
-    f_values = np.asarray(f_values, dtype=float)
-    return (project_norm_sq(blocks.concat(J0), f_values)
-            - project_norm_sq(blocks.concat(J), f_values))
+    scorer = _SubsetScorer(blocks, np.asarray(f_values, dtype=float))
+    return scorer.norm_sq(J0) - scorer.norm_sq(J)

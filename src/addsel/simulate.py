@@ -13,7 +13,7 @@ from .config import DEFAULTS, parse_m_rule
 from .densities import Density, GaussianCopulaDensity, TableDensity, UniformDensity
 from .errors import AddselError, AssumptionError, ConfigError
 from .geometry import PopulationGeometry, kappa_values
-from .selection import Dataset, select_exhaustive, select_greedy
+from .selection import Dataset, select_exhaustive
 
 #: head-energy decay across frequencies in generated components
 HEAD_DECAY = 0.25
@@ -205,10 +205,7 @@ def run_single_trial(cfg, density, trial_index, child_seed, rho=0.0, eps_prime=0
     Y = gen_response(model, X, rng)
     dataset = Dataset(X, Y)
     sigma2 = cfg["sigma"] ** 2
-    if cfg.get("search", DEFAULTS["search"]) == "greedy":
-        result = select_greedy(dataset, spec, cfg["qstar"], sigma2)
-    else:
-        result = select_exhaustive(dataset, spec, cfg["qstar"], sigma2)
+    result = select_exhaustive(dataset, spec, cfg["qstar"], sigma2)
     chosen = result.chosen
     record = {
         "trial": trial_index,

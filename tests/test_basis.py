@@ -5,7 +5,6 @@ import pytest
 from addsel import (AddselError, BasisSpec, ConfigError, GaussianCopulaDensity,
                     TableDensity, UniformDensity, basis_matrix, build_design_blocks,
                     eval_basis, full_block_gram, population_gram)
-from addsel.basis import build_design_block
 
 
 def test_eval_basis_values():
@@ -52,14 +51,33 @@ def test_basis_spec_rejects_bad_levels():
 def test_design_block_scaling():
     rng = np.random.default_rng(0)
     x = rng.random(50)
-    A = build_design_block(x, 5)
+    A = build_design_blocks(x[:, None], BasisSpec.create(1, 5)).blocks[0]
     B = basis_matrix(np.arange(2, 6), x)
     npt.assert_allclose(A, B / np.sqrt(50))
 
 
 def test_design_block_rejects_out_of_range():
     with pytest.raises(AddselError):
-        build_design_block(np.array([0.2, 1.4]), 4)
+        build_design_blocks(np.array([[0.2], [1.4]]), BasisSpec.create(1, 4))
+
+
+def test_design_blocks_with_unit_levels_have_no_columns():
+    # m_j = 1 leaves covariate j out: an n x 0 block, and the other blocks and
+    # their slices are those of the full design with j's columns removed
+    rng = np.random.default_rng(5)
+    X = rng.random((40, 4))
+    full = build_design_blocks(X, BasisSpec.create(4, (5, 4, 6, 3)))
+    part = build_design_blocks(X, BasisSpec.create(4, (5, 1, 6, 1)))
+    assert part.dims() == [4, 0, 5, 0]
+    assert part.blocks[1].shape == (40, 0) and part.blocks[3].shape == (40, 0)
+    for j in (0, 2):
+        assert np.array_equal(part.blocks[j], full.blocks[j])
+    assert np.array_equal(part.concat(range(4)), full.concat((0, 2)))
+    assert part.slices()[2] == slice(4, 9)
+    # an entry outside [0,1] is refused on a covariate without columns too
+    X[7, 3] = -0.25
+    with pytest.raises(AddselError, match=r"\[0,1\]"):
+        build_design_blocks(X, BasisSpec.create(4, (5, 1, 6, 1)))
 
 
 def test_blocks_concat_order_and_empty():

@@ -165,6 +165,43 @@ def test_cli_refuses_empty_active_set_before_any_work(tmp_path, monkeypatch, com
     assert command in record["error"]["message"] and "s >= 1" in record["error"]["message"]
 
 
+@pytest.mark.parametrize("line,key", [("alpha = -0.5", "alpha"),
+                                      ("n_grid = -8,-4,2", "n_grid")])
+def test_cli_estimate_refuses_nonpositive_alpha_and_grid(tmp_path, capsys, line, key):
+    # alpha <= 0 has no truncation level n^(1/(2 alpha + 1)), and a grid point
+    # below 1 has no sample; both used to end in a numpy or Python traceback
+    cfg = _write(tmp_path, SMALL + "n_grid = 100, 200, 400\nreps = 2\n" + line + "\n")
+    out = tmp_path / "bad.jsonl"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ConfigError"
+    assert key in record["error"]["message"]
+
+
+def test_cli_diagnose_refuses_zero_delta_before_any_work(tmp_path, monkeypatch):
+    # the c' condition of the bound needs delta > 0; the RIP pass used to run
+    # first and the run then failed with exit code 1
+    from addsel import diagnostics
+
+    def no_work(cfg):
+        raise AssertionError("delta = 0 must be refused before the law is built")
+
+    monkeypatch.setattr(diagnostics, "density_from_config", no_work)
+    cfg = _write(tmp_path, SMALL + "delta = 0\n")
+    out = str(tmp_path / "d0.jsonl")
+    assert main(["diagnose", "--config", cfg, "--out", out]) == 2
+    manifest, record = _lines(out)
+    assert manifest["command"] == "diagnose"
+    assert record["error"]["type"] == "ConfigError"
+    assert "delta > 0" in record["error"]["message"]
+
+
+def test_search_is_not_a_config_key():
+    with pytest.raises(ConfigError, match="unknown configuration key 'search'"):
+        parse_config("search = greedy\n")
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

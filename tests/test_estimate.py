@@ -2,10 +2,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from addsel import (AddselError, BasisSpec, Dataset, UniformDensity, component_risk,
-                    default_m_target, estimate_component, gen_model, gen_response,
-                    rate_experiment, select_exhaustive)
+from addsel import (AddselError, AssumptionError, BasisSpec, Dataset, UniformDensity,
+                    component_risk, default_m_target, estimate_component, gen_model,
+                    gen_response, rate_experiment, select_exhaustive)
 from addsel.simulate import AdditiveModel
+
+
+def test_default_m_target_refuses_nonpositive_alpha():
+    for alpha in (0.0, -0.5):
+        with pytest.raises(AssumptionError, match="alpha"):
+            default_m_target(100, alpha)
+
+
+def test_rate_experiment_refuses_nonpositive_grid():
+    # library callers bypass parse_config, so rate_experiment checks the grid itself
+    cfg = dict(q=4, s=2, qstar=2, sigma=0.3, alpha=2.0, K=40.0, kappa1=1.0, seed=1,
+               target=0, m_target=0, n_grid=[-8, -4, 2], reps=2)
+    with pytest.raises(AddselError, match="positive"):
+        rate_experiment(cfg)
 
 
 def test_default_m_target():
@@ -152,9 +166,9 @@ def _tilted_on(j):
 
 @pytest.mark.parametrize("law", ["uniform", "table"])
 def test_estimate_component_refits_only_J_fit_bitwise(law, monkeypatch):
-    # building only J_fit's second-half blocks changes no bit of the fit, and
-    # builds |J_fit| blocks where the reference builds q
-    from addsel import estimate as estimate_mod
+    # giving the covariates outside J_fit m_j = 1 changes no bit of the fit,
+    # and evaluates no harmonic of theirs on the second half
+    from addsel import basis
     model = gen_model(q=6, s=2, alpha=2.0, Kbound=40.0, kappa1_target=1.0, seed=3,
                       sigma=0.3)
     target = model.J0[0]
@@ -164,17 +178,19 @@ def test_estimate_component_refits_only_J_fit_bitwise(law, monkeypatch):
     X = density.sample(600, 6, rng)
     ds = Dataset(X, gen_response(model, X, rng))
     spec = BasisSpec.create(6, 5)
-    built = []
-    original = estimate_mod.build_design_block
-    monkeypatch.setattr(estimate_mod, "build_design_block",
-                        lambda xcol, m: built.append(m) or original(xcol, m))
-    est = estimate_component(ds, spec, 2, 0.09, target, m_target=7)
     coef, chosen = _reference_estimate(ds, spec, 2, 0.09, target, 7)
+    columns = []
+    original = basis.basis_matrix
+    monkeypatch.setattr(basis, "basis_matrix",
+                        lambda ks, x: columns.append(len(ks)) or original(ks, x))
+    est = estimate_component(ds, spec, 2, 0.09, target, m_target=7)
     assert est.selected == chosen
     assert np.array_equal(est.coefficients, coef)
     J_fit = sorted(set(chosen) | {target})
-    assert len(built) == len(J_fit) < spec.q
-    assert built == [7 if j == target else 5 for j in J_fit]
+    assert len(J_fit) < spec.q
+    # the first-half selection evaluates all q blocks, the refit only J_fit's
+    assert columns == [4] * spec.q + [6 if j == target else 4 if j in J_fit else 0
+                                      for j in range(spec.q)]
     # second-half entries outside [0,1] are refused on covariates outside J_fit too
     bad = X.copy()
     bad[-1, next(j for j in range(6) if j not in J_fit)] = 1.5

@@ -116,6 +116,28 @@ def test_empirical_projection_gap_noiseless():
     assert gap_bad > 0.5
 
 
+@pytest.mark.parametrize("law,n,m", [("uniform", 150, 5), ("copula", 150, 5),
+                                     ("copula", 30, 12)])
+def test_empirical_projection_gap_matches_two_svd_reference(law, n, m, monkeypatch):
+    # the gap is read off the scorer's one Gram; at n = 30 the sets with
+    # d_J = 33 > n take the scorer's SVD fallback
+    rng = np.random.default_rng(15)
+    density = UniformDensity() if law == "uniform" else GaussianCopulaDensity(r=0.5)
+    X = density.sample(n, 5, rng)
+    f = np.sqrt(2) * np.cos(2 * np.pi * X[:, 1]) + np.sqrt(2) * np.sin(2 * np.pi * X[:, 3])
+    f = f + 0.3 * rng.standard_normal(n)
+    ds = Dataset(X, np.zeros(n))
+    spec = BasisSpec.create(5, m)
+    blocks = build_design_blocks(X, spec)
+    calls = _count_fallbacks(monkeypatch)
+    for J, J0 in [((1, 3), (1, 3)), ((0,), (1, 3)), ((0, 1, 4), (1, 3)), ((2,), ()),
+                  ((), (1,))]:
+        gap = empirical_projection_gap(ds, spec, J, J0, f)
+        ref = project_norm_sq(blocks.concat(J0), f) - project_norm_sq(blocks.concat(J), f)
+        assert abs(gap - ref) <= 1e-12
+    assert (33 in calls) == (n == 30)
+
+
 def _reference(ds, spec, qstar, sigma2):
     """Criterion dict and argmax from one SVD projection per subset."""
     blocks = build_design_blocks(ds.X, spec)
