@@ -49,8 +49,8 @@ def bound_vs_reality():
                    kappa1=1.0, trials=80, seed=7, threads=2, m_rule="fixed:5")
         _, summary = run_trials(cfg)
         observed = 1.0 - summary["success_rate"]
-        bound = selection_error_bound(n, sigma ** 2, 0.0, [1.0, 2.0], d_l,
-                                      s, qstar, q, delta=0.5, cprime=0.002)
+        bound, _ = selection_error_bound(n, sigma ** 2, 0.0, [1.0, 2.0], d_l,
+                                         s, qstar, q, delta=0.5, cprime=0.002)
         print(f"{n:6d} {observed:9.3f} {min(bound, 999.0):12.4g}")
     print("the bound carries large proof constants (powers of two up to 2^14),")
     print("so it dominates reality by orders of magnitude at practical n; its")

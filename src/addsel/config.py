@@ -98,6 +98,8 @@ def _validate(cfg):
         raise ConfigError("trials and reps must be positive")
     if not 0 <= cfg["target"] < cfg["q"]:
         raise ConfigError(f"target must lie in [0, q), got {cfg['target']}")
+    if cfg["m_target"] < 0:
+        raise ConfigError(f"m_target must be nonnegative, got {cfg['m_target']}")
     if not 0 < cfg["cprime"] < 1 or not 0 <= cfg["delta"] < 1:
         raise ConfigError("need 0 < cprime < 1 and 0 <= delta < 1")
 

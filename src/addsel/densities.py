@@ -134,6 +134,9 @@ class TableDensity(Density):
         cs = [1.0]
         for j, vals in self.tables.items():
             vals = np.asarray(vals, dtype=float)
+            if len(vals) == 0 or not np.all(np.isfinite(vals)) or np.any(vals < 0):
+                raise ConfigError(f"marginal density for covariate {j} must be a nonempty "
+                                  "table of finite, nonnegative values")
             m = len(vals)
             total = vals.mean()  # midpoint rule with uniform spacing
             if abs(total - 1.0) > 1e-6:
@@ -142,9 +145,7 @@ class TableDensity(Density):
                 )
             x = (np.arange(m) + 0.5) / m
             self._grids[j] = (x, vals)
-            positive = vals[vals > 0]
-            if len(positive):
-                cs.append(min(positive.min(), 1.0 / vals.max()))
+            cs.append(min(vals.min(), 1.0 / vals.max()))
         self.c = float(min(cs))
 
     def uniform_marginal(self, j):

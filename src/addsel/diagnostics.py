@@ -10,22 +10,18 @@ from .basis import BasisSpec, DesignBlocks, basis_matrix, block_column_chunks, \
     build_design_blocks, marginal_moments, principal_submatrices, trig_series
 from .config import fixed_m
 from .densities import Density
-from .errors import AssumptionError, BudgetError, ConfigError
-from .geometry import DEFAULT_BUDGET, EIG_FLOOR, PopulationGeometry, count_subsets_up_to, \
+from .errors import AssumptionError, ConfigError
+from .geometry import EIG_FLOOR, PopulationGeometry, check_budget, count_subsets_up_to, \
     kappa_values, singular_gram_error, subsets_up_to
 from .simulate import density_from_config, model_from_config
 
-def _union_collection(q, qstar, J0, subsets=None, budget=DEFAULT_BUDGET):
+def _union_collection(q, qstar, J0, subsets=None):
     """Deduplicated J cup J0 column sets over all candidate J."""
     J0 = tuple(sorted(J0))
     if subsets is None:
-        count = count_subsets_up_to(q, qstar, include_empty=True)
-        if count > budget:
-            raise BudgetError(
-                f"{count} candidate subsets exceed the budget {budget}; "
-                "pass an explicit (sampled) subset collection",
-                count=count, budget=budget,
-            )
+        check_budget(count_subsets_up_to(q, qstar, include_empty=True),
+                     "{count} candidate subsets exceed the budget {budget}; "
+                     "pass an explicit (sampled) subset collection")
         subsets = subsets_up_to(q, qstar, include_empty=True)
     seen = set()
     for J in subsets:
@@ -59,33 +55,18 @@ def _max_deviation(w):
     return float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])))
 
 
-def rip_constant(blocks: DesignBlocks, qstar: int, J0=(), subsets=None,
-                 budget=DEFAULT_BUDGET) -> float:
-    """max over |J| <= qstar of the operator norm of A_{J u J0}^T A_{J u J0} - I.
-
-    With an explicit ``subsets`` collection the result is the maximum over
-    that collection only (a lower bound of the full constant).
-    """
-    G, slices = blocks.full_gram(), blocks.slices()
-    unions = _union_collection(len(slices), qstar, J0, subsets, budget)
-    delta = 0.0
-    for _, cols in block_column_chunks(slices, unions):
-        delta = max(delta, _max_deviation(np.linalg.eigvalsh(principal_submatrices(G, cols))))
-    return delta
-
-
-def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float,
-                       subsets=None, budget=DEFAULT_BUDGET):
-    """(holds, max_deviation): whether all normalized empirical Grams on
-    V_{J u J0} have eigenvalues in [1-delta, 1+delta].
-
-    Raises SingularBlockError for the first union, in enumeration order,
-    whose population Gram has an eigenvalue at or below EIG_FLOOR.
-    """
+def _union_deviation(G_emp, G_pop, slices, unions) -> float:
+    """Largest deviation from 1 of the eigenvalues of P_U^{-1/2} E_U P_U^{-1/2}
+    over the unions, E = G_emp, P = G_pop; ``G_pop = None`` is the identity
+    and whitens nothing. Raises SingularBlockError for the first union, in
+    enumeration order, whose P_U has an eigenvalue at or below EIG_FLOOR."""
     worst = 0.0
     singular = None  # (position, union, min eigenvalue) of the first singular union
-    unions = _union_collection(len(slices), qstar, J0, subsets, budget)
     for members, cols in block_column_chunks(slices, unions):
+        if G_pop is None:
+            worst = max(worst, _max_deviation(np.linalg.eigvalsh(
+                principal_submatrices(G_emp, cols))))
+            continue
         P = principal_submatrices(G_pop, cols)
         w, V = np.linalg.eigh(0.5 * (P + P.transpose(0, 2, 1)))
         bad = np.flatnonzero(w[:, 0] <= EIG_FLOOR)
@@ -101,6 +82,31 @@ def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float,
     if singular is not None:
         _, union, min_eig = singular
         raise singular_gram_error(f"population Gram on {union}", min_eig)
+    return worst
+
+
+def rip_constant(blocks: DesignBlocks, qstar: int, J0=(), subsets=None) -> float:
+    """max over |J| <= qstar of the operator norm of A_{J u J0}^T A_{J u J0} - I.
+
+    This is event E's deviation under the identity population Gram. With an
+    explicit ``subsets`` collection the result is the maximum over that
+    collection only (a lower bound of the full constant).
+    """
+    slices = blocks.slices()
+    return _union_deviation(blocks.full_gram(), None, slices,
+                            _union_collection(len(slices), qstar, J0, subsets))
+
+
+def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float, subsets=None):
+    """(holds, max_deviation): whether all normalized empirical Grams on
+    V_{J u J0} have eigenvalues in [1-delta, 1+delta].
+
+    ``G_pop = None`` stands for the identity population Gram. Raises
+    SingularBlockError for the first union, in enumeration order, whose
+    population Gram has an eigenvalue at or below EIG_FLOOR.
+    """
+    worst = _union_deviation(G_emp, G_pop, slices,
+                             _union_collection(len(slices), qstar, J0, subsets))
     return worst <= delta, worst
 
 
@@ -109,16 +115,13 @@ def event_E_check(dataset, spec: BasisSpec, density: Density, qstar: int, J0,
     """(holds, max_deviation): uniform two-sided norm equivalence over all
     candidate additive subspaces.
 
-    When the population Gram is the identity the deviation is the RIP
-    constant over the same unions, and no population Gram is built.
+    When the population Gram is the identity none is built, and the
+    deviation is the RIP constant over the same unions.
     """
     blocks = build_design_blocks(dataset.X, spec)
     geo = PopulationGeometry(spec, density, qstar)
-    if geo.identity:
-        worst = rip_constant(blocks, qstar, J0)
-        return worst <= delta, worst
-    G_pop, slices = geo.gram
-    return event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar, J0, delta)
+    G_pop = None if geo.identity else geo.gram[0]
+    return event_E_from_grams(blocks.full_gram(), G_pop, blocks.slices(), qstar, J0, delta)
 
 
 def truncation_residual_norm_sq(X, model, spec: BasisSpec, density: Density) -> float:
@@ -198,8 +201,8 @@ def check_cprime(delta: float, cprime: float) -> bool:
 
 
 def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
-                          cprime, p_event_c=0.0, return_terms=False):
-    """Upper bound on P(J0 not within the selected set).
+                          cprime, p_event_c=0.0):
+    """(total, terms): upper bound on P(J0 not within the selected set), by term.
 
     Sums the proof-level exponential terms over the (l, m) grid of missed and
     spurious covariates, plus the truncation-residual term and a supplied
@@ -246,9 +249,7 @@ def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
     terms["gaussian_projection"] = gauss1_sum
     terms["gaussian_truncation"] = gauss2_sum
     total += chi_sum + gauss1_sum + gauss2_sum
-    if return_terms:
-        return total, terms
-    return total
+    return total, terms
 
 
 def corollary_conditions(n, sigma2, rho, kappa, kappa1, kappa_l, eps_s, d_l,
@@ -345,7 +346,7 @@ def diagnose(cfg: dict) -> dict:
         total, terms = selection_error_bound(
             cfg["n"], cfg["sigma"] ** 2, rho, kappa_l[:s],
             d_l=[spec.d_l(l) for l in range(1, qstar + 1)], s=s, qstar=qstar, q=q,
-            delta=delta, cprime=cprime, return_terms=True)
+            delta=delta, cprime=cprime)
         report["selection_error_bound"] = total
         report["bound_terms"] = terms
     return report

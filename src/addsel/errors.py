@@ -10,7 +10,7 @@ class ConfigError(AddselError):
 
 
 class BudgetError(AddselError):
-    """A combinatorial enumeration would exceed its configured budget."""
+    """A combinatorial enumeration would exceed its budget."""
 
     def __init__(self, message, count=None, budget=None):
         super().__init__(message)

@@ -15,8 +15,9 @@ from .densities import Density
 from .errors import AssumptionError, BudgetError, SingularBlockError
 
 EIG_FLOOR = 1e-12
-DEFAULT_BUDGET = 10 ** 6
-#: most grid points sup_norm_ratio evaluates for one subset
+#: most subsets or subset pairs one enumeration may walk (see check_budget)
+SUBSET_BUDGET = 10 ** 6
+#: most grid points sup_norm_ratio evaluates for one subset; read at call time
 GRID_BUDGET = 2 ** 22
 #: points per axis of the sup-norm grid before GRID_BUDGET halves them
 GRID_SIZE = 512
@@ -90,10 +91,12 @@ def count_subsets_up_to(q, size, include_empty=False):
     return sum(comb(q, r) for r in range(0 if include_empty else 1, size + 1))
 
 
-def _check_subset_budget(q, size, budget):
-    count = count_subsets_up_to(q, size)
-    if count > budget:
-        raise BudgetError("subset enumeration exceeds budget", count=count, budget=budget)
+def check_budget(count, message):
+    """BudgetError(message.format(count=, budget=)) if ``count`` exceeds SUBSET_BUDGET,
+    read at call time; every subset enumeration calls this once, where it starts."""
+    if count > SUBSET_BUDGET:
+        raise BudgetError(message.format(count=count, budget=SUBSET_BUDGET),
+                          count=count, budget=SUBSET_BUDGET)
 
 
 def count_disjoint_pairs(q, qstar):
@@ -104,7 +107,7 @@ def count_disjoint_pairs(q, qstar):
     return total // 2
 
 
-def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
+def rho_from_gram(G, slices, qstar) -> float:
     """Max of min_angle_cos over all disjoint subset pairs with sizes <= qstar.
 
     Each subset with columns is whitened once, in enumeration order, so the
@@ -112,13 +115,8 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
     disjoint partner and is not whitened.
     """
     q = len(slices)
-    n_pairs = count_disjoint_pairs(q, qstar)
-    if n_pairs > budget:
-        raise BudgetError(
-            f"{n_pairs} disjoint subset pairs exceed the budget {budget}; "
-            "reduce qstar or restrict the covariates",
-            count=n_pairs, budget=budget,
-        )
+    check_budget(count_disjoint_pairs(q, qstar), "{count} disjoint subset pairs exceed "
+                 "the budget {budget}; reduce qstar or restrict the covariates")
     subs, cols, W = [], [], []
     for J in subsets_up_to(q, min(qstar, q - 1)):
         c = block_columns(slices, J)
@@ -134,7 +132,7 @@ def rho_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET) -> float:
     return rho
 
 
-def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
+def epsilons_from_gram(G, slices, qstar):
     """(eps_2qstar, eps_prime_qstar) from eigenvalue extremes of normalized Grams.
 
     D_J^{-1/2} G_J D_J^{-1/2} is the principal submatrix on J of W G W, with W
@@ -145,7 +143,7 @@ def epsilons_from_gram(G, slices, qstar, budget=DEFAULT_BUDGET):
     """
     q = len(slices)
     size = min(2 * qstar, q)
-    _check_subset_budget(q, size, budget)
+    check_budget(count_subsets_up_to(q, size), "subset enumeration exceeds budget")
     eps_low = eps_high = 0.0
     if q < 2:
         return eps_low, eps_high
@@ -229,11 +227,11 @@ def population_projection_gap(G, slices, J, coef):
     return total - float(y @ y)
 
 
-def _grid_points(k, grid_size, budget):
+def _grid_points(k, grid_size):
     """Points per axis of the sup-norm grid over k covariates: halved down to 8
-    until the k-dimensional grid fits the budget."""
+    until the k-dimensional grid fits GRID_BUDGET."""
     g = int(grid_size)
-    while g ** k > budget and g > 8:
+    while g ** k > GRID_BUDGET and g > 8:
         g = g // 2
     return g
 
@@ -271,19 +269,21 @@ def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=GRID_SIZE) ->
     if spec.d_J(J) < 1:
         raise AssumptionError("sup_norm_ratio needs d_J >= 1")
     return _sup_norm_ratio(spec, population_gram(spec, density, J), J,
-                           _grid_points(len(J), grid_size, GRID_BUDGET))
+                           _grid_points(len(J), grid_size))
 
 
-def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size, budget):
+def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size):
     """(phi_2qstar, {|J|: points per axis}) over the blocks of ``slices``, with
     each G_J sliced from the full Gram."""
     best = 0.0
     grid = {}
     q = len(slices)
-    for J in subsets_up_to(q, min(2 * qstar, q)):
+    size = min(2 * qstar, q)
+    check_budget(count_subsets_up_to(q, size), "subset enumeration exceeds budget")
+    for J in subsets_up_to(q, size):
         if spec.d_J(J) == 0:
             continue
-        grid[len(J)] = g = _grid_points(len(J), grid_size, budget)
+        grid[len(J)] = g = _grid_points(len(J), grid_size)
         c = block_columns(slices, J)
         best = max(best, _sup_norm_ratio(spec, G[np.ix_(c, c)], list(J), g))
     return best, grid
@@ -295,8 +295,8 @@ class PopulationGeometry:
 
     ``identity``: independent Uniform[0,1] covariates make the trig system
     orthonormal and, with phi_1 left out, mean-zero, so the Gram is the
-    identity. rho and eps are then exact zeros, returned without a Gram or a
-    budget check, and event E's normalized Gram is the empirical Gram itself.
+    identity. rho and eps are then exact zeros, returned without a Gram or an
+    enumeration, and event E's normalized Gram is the empirical Gram itself.
 
     ``k``: the suprema range over the first k blocks. Under an exchangeable
     law with one m_j for all blocks, G_J depends only on how the blocks of J
@@ -321,25 +321,22 @@ class PopulationGeometry:
         G, slices = self.gram
         return G, slices[:self.k]
 
-    def rho(self, budget=DEFAULT_BUDGET) -> float:
-        return 0.0 if self.identity else rho_from_gram(*self._leading(), self.qstar, budget)
+    def rho(self) -> float:
+        return 0.0 if self.identity else rho_from_gram(*self._leading(), self.qstar)
 
-    def epsilons(self, budget=DEFAULT_BUDGET):
+    def epsilons(self):
         """(eps_2qstar, eps_prime_qstar)."""
         if self.identity:
             return 0.0, 0.0
-        return epsilons_from_gram(*self._leading(), self.qstar, budget)
+        return epsilons_from_gram(*self._leading(), self.qstar)
 
-    def phi(self, grid_size=GRID_SIZE, budget=GRID_BUDGET):
+    def phi(self, grid_size=GRID_SIZE):
         """(phi_2qstar, {|J|: points per axis of its grid})."""
-        return _phi_from_gram(self.spec, *self._leading(), self.qstar, grid_size, budget)
+        return _phi_from_gram(self.spec, *self._leading(), self.qstar, grid_size)
 
 
-def phi_2qstar(spec: BasisSpec, density: Density, qstar: int, grid_size=GRID_SIZE,
-               budget=GRID_BUDGET, subset_budget=DEFAULT_BUDGET) -> float:
-    geo = PopulationGeometry(spec, density, qstar)
-    _check_subset_budget(geo.k, min(2 * qstar, geo.k), subset_budget)
-    return geo.phi(grid_size, budget)[0]
+def phi_2qstar(spec: BasisSpec, density: Density, qstar: int, grid_size=GRID_SIZE) -> float:
+    return PopulationGeometry(spec, density, qstar).phi(grid_size)[0]
 
 
 def verify_angle_equivalence(G11, G22, G12, trials: int, seed=0) -> bool:
@@ -364,14 +361,12 @@ def verify_angle_equivalence(G11, G22, G12, trials: int, seed=0) -> bool:
 
 
 def geometry_report(spec: BasisSpec, density: Density, qstar: int, model=None,
-                    grid_size=GRID_SIZE, budget=DEFAULT_BUDGET) -> GeometryReport:
+                    grid_size=GRID_SIZE) -> GeometryReport:
     geo = PopulationGeometry(spec, density, qstar)
-    if geo.identity:
-        _check_subset_budget(geo.k, min(2 * qstar, geo.k), budget)
-    # arguments run left to right: rho's pair count is checked before eps' subsets
-    report = GeometryReport(qstar, geo.rho(budget), *geo.epsilons(budget))
+    # arguments run left to right: rho's pair count is checked before eps' subsets,
+    # and phi's (the only check under the identity law) before any kappa work
+    report = GeometryReport(qstar, geo.rho(), *geo.epsilons())
+    report.phi_2qstar, report.phi_grid = geo.phi(grid_size)
     if model is not None and len(model.J0) > 0:
         report.kappa, report.kappa_l = kappa_values(model, density)
-    # the subset count has been checked above, by epsilons_from_gram or directly
-    report.phi_2qstar, report.phi_grid = geo.phi(grid_size)
     return report

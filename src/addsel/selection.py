@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, DesignBlocks, block_columns, build_design_blocks
-from .errors import AddselError, BudgetError
-from .geometry import DEFAULT_BUDGET, count_subsets_up_to, subsets_up_to
+from .errors import AddselError
+from .geometry import check_budget, count_subsets_up_to, subsets_up_to
 
 #: relative singular-value cutoff below which a direction counts as rank lost
 RANK_RTOL = 1e-10
@@ -153,17 +153,13 @@ def _better(candidate, incumbent):
     return (len(J_c), J_c) < (len(J_i), J_i)
 
 
-def select_exhaustive(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: float,
-                      budget=DEFAULT_BUDGET) -> SelectionResult:
+def select_exhaustive(dataset: Dataset, spec: BasisSpec, qstar: int,
+                      sigma2: float) -> SelectionResult:
     """Argmax over all |J| <= qstar of |Pi_J Y|_n^2 - sigma^2 d_J / n."""
     q = spec.q
-    count = count_subsets_up_to(q, qstar, include_empty=True)
-    if count > budget:
-        raise BudgetError(
-            f"exhaustive search over {count} subsets exceeds the budget {budget}; "
-            "consider select_greedy",
-            count=count, budget=budget,
-        )
+    check_budget(count_subsets_up_to(q, qstar, include_empty=True),
+                 "exhaustive search over {count} subsets exceeds the budget {budget}; "
+                 "consider select_greedy")
     scorer = _SubsetScorer(build_design_blocks(dataset.X, spec), dataset.Y)
     crit = {}
     best = (0.0, ())

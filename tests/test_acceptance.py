@@ -16,6 +16,7 @@ from addsel import (BasisSpec, Dataset, GaussianCopulaDensity, PopulationGeometr
                     event_E_check, m_lower_bound, phi_2qstar, rate_experiment,
                     rip_constant, run_trials, sample_subsets,
                     selection_error_bound)
+from addsel import geometry
 from addsel.basis import DesignBlocks, build_design_blocks, full_block_gram
 from addsel.cli import main as cli_main
 from addsel.diagnostics import event_E_from_grams
@@ -113,14 +114,16 @@ def test_criterion_03_eigenvalue_chain():
             f"{violations} violations in 100 random designs")
 
 
-def test_criterion_04_sup_norm_ratio_bound():
+def test_criterion_04_sup_norm_ratio_bound(monkeypatch):
+    # the whole 4096 x 4096 grid for |J| = 2, not the halved default
+    monkeypatch.setattr(geometry, "GRID_BUDGET", 4096 ** 2)
     spec = BasisSpec.create(3, 5)
     qstar = 1
     failures = []
     for dens, label in ((UniformDensity(), "uniform"),
                         (GaussianCopulaDensity(r=0.3), "copula r=0.3"),
                         (GaussianCopulaDensity(r=0.6), "copula r=0.6")):
-        phi = phi_2qstar(spec, dens, qstar, grid_size=4096, budget=4096 ** 2)
+        phi = phi_2qstar(spec, dens, qstar, grid_size=4096)
         eps, _ = PopulationGeometry(spec, dens, qstar).epsilons()
         c = dens.c
         if phi ** 2 > 2.0 / (c * (1.0 - eps)) + 1e-10:
@@ -211,7 +214,7 @@ def test_criterion_08_bound_dominance():
                                      (0, 1), _C7_CFG["delta"])
             misses += not holds
         p_ec = misses / reps
-        bound = selection_error_bound(
+        bound, _ = selection_error_bound(
             n, _C7_CFG["sigma"] ** 2, 0.0, [1.0, 2.0], d_l, 2, 2,
             _C7_CFG["q"], _C7_CFG["delta"], _C7_CFG["cprime"], p_event_c=p_ec)
         details.append(f"n={n}: freq {fail_freq:.3f} <= bound {min(bound, 99.0):.3g}")

@@ -35,6 +35,13 @@ def test_parse_rejects_bad_values():
         parse_config("x = 1\ny\n")
 
 
+def test_parse_rejects_negative_m_target():
+    # m_target = -3 used to run at the coarsest level, as m_target = 1 does
+    with pytest.raises(ConfigError, match="m_target"):
+        parse_config("m_target = -3\n")
+    assert parse_config("m_target = 0\n")["m_target"] == 0
+
+
 def test_parse_n_grid_and_table():
     cfg = parse_config("n_grid = 100, 200, 400\n")
     assert cfg["n_grid"] == [100, 200, 400]
@@ -195,6 +202,25 @@ def test_cli_diagnose_refuses_zero_delta_before_any_work(tmp_path, monkeypatch):
     assert manifest["command"] == "diagnose"
     assert record["error"]["type"] == "ConfigError"
     assert "delta > 0" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("command,text,record", [
+    ("geometry", "design.kind = gaussian-copula\ndesign.r = 0.3\nq = 40\nqstar = 7\n",
+     '{"error": {"message": "2106000 disjoint subset pairs exceed the budget 1000000; '
+     'reduce qstar or restrict the covariates", "type": "BudgetError"}}'),
+    ("geometry", "q = 40\nqstar = 10\n",
+     '{"error": {"message": "subset enumeration exceeds budget", "type": "BudgetError"}}'),
+    ("simulate", "n = 100\nq = 200\nqstar = 3\ntrials = 1\n",
+     '{"error": "exhaustive search over 1333501 subsets exceeds the budget 1000000; '
+     'consider select_greedy", "error_type": "BudgetError", "trial": 0}'),
+], ids=["rho-pairs", "identity-law-subsets", "exhaustive"])
+def test_cli_budget_error_records(tmp_path, command, text, record):
+    # the record after the manifest, byte for byte; simulate records a failed
+    # trial and exits 0, the geometry report fails as a whole
+    out = tmp_path / "err.jsonl"
+    code = main([command, "--config", _write(tmp_path, text), "--out", str(out)])
+    assert code == (0 if command == "simulate" else 1)
+    assert out.read_text().splitlines()[1] == record
 
 
 def test_search_is_not_a_config_key():

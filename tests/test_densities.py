@@ -74,6 +74,20 @@ def test_table_density_sampling_matches_pdf():
     assert dens.c <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("table", [[2.5, -0.5, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0],
+                                   [np.inf, 1.0, 1.0, 1.0], []],
+                         ids=["negative", "nan", "inf", "empty"])
+def test_table_density_refuses_malformed_tables(table):
+    # a negative entry used to pass (it integrates to 1) and report c = 0.4
+    with pytest.raises(ConfigError, match="finite, nonnegative"):
+        TableDensity(tables={0: np.array(table, dtype=float)})
+
+
+def test_table_density_c_is_zero_where_the_pdf_vanishes():
+    # the pdf is 0 at x = 0.375, so no c > 0 has c <= p; the positive entries gave 0.5
+    assert TableDensity(tables={0: [2.0, 0.0, 1.0, 1.0]}).c == 0.0
+
+
 def test_table_density_untouched_covariates_uniform():
     dens = TableDensity(tables={})
     t = np.linspace(0.0, 1.0, 11)

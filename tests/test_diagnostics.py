@@ -91,9 +91,10 @@ def test_rip_constant_lower_bound_when_sampled():
 
 def test_rip_budget_error():
     rng = np.random.default_rng(1)
-    blocks = build_design_blocks(rng.random((50, 30)), BasisSpec.create(30, 2))
+    # 200 covariates at qstar = 3: 1,333,501 candidate sets
+    blocks = build_design_blocks(rng.random((50, 200)), BasisSpec.create(200, 2))
     with pytest.raises(BudgetError):
-        rip_constant(blocks, 3, budget=10)
+        rip_constant(blocks, 3)
 
 
 def _model_with_tail(q=3, m_keep=3):
@@ -192,11 +193,11 @@ def test_event_E_check_identity_law_builds_no_population_gram(seed, monkeypatch)
 def test_selection_error_bound_monotone_in_n():
     kw = dict(sigma2=0.25, rho=0.0, kappa_l=[1.0, 2.0], d_l=[4, 8], s=2,
               qstar=2, q=8, delta=0.5, cprime=0.001)
-    small = selection_error_bound(200, **kw)
-    mid = selection_error_bound(5000, **kw)
+    small, _ = selection_error_bound(200, **kw)
+    mid, _ = selection_error_bound(5000, **kw)
     # the proof-level constants are conservative (factors like 2^10 in the
     # exponent), so only very large n drives the bound below any fixed level
-    large = selection_error_bound(10 ** 6, **kw)
+    large, _ = selection_error_bound(10 ** 6, **kw)
     assert large < mid < small
     assert large < 1e-6
 
@@ -204,7 +205,7 @@ def test_selection_error_bound_monotone_in_n():
 def test_selection_error_bound_terms_sum():
     total, terms = selection_error_bound(
         1000, 0.25, 0.0, [1.0, 2.0], [4, 8], 2, 2, 8, 0.5, 0.001,
-        p_event_c=0.01, return_terms=True)
+        p_event_c=0.01)
     npt.assert_allclose(total, sum(terms.values()), rtol=1e-12)
     assert terms["p_event_c"] == 0.01
 
@@ -340,7 +341,7 @@ def test_union_chunks_equal_per_union_block_columns():
             for lo in range(0, len(groups[d]), EIG_CHUNK):
                 chunk = groups[d][lo:lo + EIG_CHUNK]
                 expected.append(([(p, u) for p, u, _ in chunk], np.array([c for *_, c in chunk])))
-        got = list(block_column_chunks(slices, _union_collection(16, qstar, J0, subsets, 10 ** 6)))
+        got = list(block_column_chunks(slices, _union_collection(16, qstar, J0, subsets)))
         full_chunks += sum(len(members) == EIG_CHUNK for members, _ in got)
         assert len(got) == len(expected)
         for (members, cols), (ref_members, ref_cols) in zip(got, expected):

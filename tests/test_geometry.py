@@ -2,14 +2,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from addsel import (AssumptionError, BasisSpec, BudgetError, GaussianCopulaDensity,
+from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset, GaussianCopulaDensity,
                     PopulationGeometry, TableDensity, UniformDensity, check_ric_chain,
                     geometry_report, kappa_values, min_angle_cos, phi_2qstar,
-                    population_gram, sup_norm_ratio, verify_angle_equivalence)
+                    population_gram, rip_constant, select_exhaustive, sup_norm_ratio,
+                    verify_angle_equivalence)
+from addsel import geometry
 from addsel.geometry import (_inv_sqrt, count_disjoint_pairs, count_subsets_up_to,
                              epsilons_from_gram, population_projection_gap,
                              rho_from_gram, subsets_up_to)
-from addsel.basis import EIG_CHUNK, block_columns, block_slices, full_block_gram
+from addsel.basis import EIG_CHUNK, block_columns, block_slices, \
+    build_design_blocks, full_block_gram
 from addsel.errors import SingularBlockError
 from addsel.simulate import AdditiveModel, density_from_config
 
@@ -110,10 +113,9 @@ def test_subset_enumeration_counts():
 
 
 def test_budget_error_on_rho():
-    spec = BasisSpec.create(8, 3)
-    G, slices = full_block_gram(spec, UniformDensity())
+    # 200 one-column blocks at qstar = 3: far more than SUBSET_BUDGET disjoint pairs
     with pytest.raises(BudgetError):
-        rho_from_gram(G, slices, 3, budget=5)
+        rho_from_gram(np.eye(200), block_slices([1] * 200), 3)
 
 
 def _model(q, J0, energies):
@@ -237,23 +239,56 @@ def test_full_enumeration_when_not_exchangeable(density, m):
     assert abs(cut[0] - full[0]) > 1e-3 or abs(cut[3] - full[3]) > 1e-3
 
 
-def test_budget_counts_representative_subsets():
+def test_budget_counts_representative_subsets(monkeypatch):
     # q = 12, qstar = 2: 2211 disjoint pairs and 793 subsets over all covariates,
     # 21 and 15 over the first four
     spec = BasisSpec.create(12, 3)
     dens = GaussianCopulaDensity(r=0.3)
     assert count_disjoint_pairs(4, 2) == 21 and count_subsets_up_to(4, 4) == 15
-    geometry_report(spec, dens, 2, grid_size=16, budget=21)
+    monkeypatch.setattr(geometry, "SUBSET_BUDGET", 21)
+    geometry_report(spec, dens, 2, grid_size=16)
+    monkeypatch.setattr(geometry, "SUBSET_BUDGET", 20)
     with pytest.raises(BudgetError) as exc:
-        geometry_report(spec, dens, 2, grid_size=16, budget=20)
+        geometry_report(spec, dens, 2, grid_size=16)
     assert exc.value.count == 21
-    phi_2qstar(spec, dens, 2, grid_size=16, subset_budget=15)
+    monkeypatch.setattr(geometry, "SUBSET_BUDGET", 15)
+    phi_2qstar(spec, dens, 2, grid_size=16)
+    monkeypatch.setattr(geometry, "SUBSET_BUDGET", 14)
     with pytest.raises(BudgetError) as exc:
-        phi_2qstar(spec, dens, 2, grid_size=16, subset_budget=14)
+        phi_2qstar(spec, dens, 2, grid_size=16)
     assert exc.value.count == 15
+    monkeypatch.setattr(geometry, "SUBSET_BUDGET", 21)
     with pytest.raises(BudgetError) as exc:
-        geometry_report(spec, TableDensity(tables={11: _TILT}), 2, grid_size=16, budget=21)
+        geometry_report(spec, TableDensity(tables={11: _TILT}), 2, grid_size=16)
     assert exc.value.count == count_disjoint_pairs(12, 2) == 2211
+
+
+_SPEC4 = BasisSpec.create(4, 2)  # four one-column blocks
+_X4 = np.random.default_rng(0).random((10, 4))
+
+
+@pytest.mark.parametrize("run,count,message", [
+    pytest.param(lambda: rho_from_gram(np.eye(4), block_slices([1] * 4), 1), 6,
+                 "6 disjoint subset pairs exceed the budget 2; reduce qstar or "
+                 "restrict the covariates", id="rho"),
+    pytest.param(lambda: epsilons_from_gram(np.eye(4), block_slices([1] * 4), 1), 10,
+                 "subset enumeration exceeds budget", id="eps"),
+    # phi() on its own, over the k = 2 leading blocks of an exchangeable law
+    pytest.param(lambda: PopulationGeometry(_SPEC4, GaussianCopulaDensity(r=0.3), 1).phi(), 3,
+                 "subset enumeration exceeds budget", id="phi"),
+    pytest.param(lambda: rip_constant(build_design_blocks(_X4, _SPEC4), 1), 5,
+                 "5 candidate subsets exceed the budget 2; pass an explicit (sampled) "
+                 "subset collection", id="unions"),
+    pytest.param(lambda: select_exhaustive(Dataset(_X4, _X4[:, 0]), _SPEC4, 1, 0.0), 5,
+                 "exhaustive search over 5 subsets exceeds the budget 2; consider "
+                 "select_greedy", id="exhaustive"),
+])
+def test_every_enumeration_checks_the_one_budget(monkeypatch, run, count, message):
+    # one patch of geometry.SUBSET_BUDGET reaches geometry, diagnostics and selection
+    monkeypatch.setattr(geometry, "SUBSET_BUDGET", 2)
+    with pytest.raises(BudgetError) as exc:
+        run()
+    assert (exc.value.count, exc.value.budget, str(exc.value)) == (count, 2, message)
 
 
 def test_phi_reads_slices_of_one_population_gram():

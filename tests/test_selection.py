@@ -82,10 +82,11 @@ def test_criterion_value_formula():
 
 
 def test_budget_error_suggests_greedy():
-    ds = Dataset(np.random.default_rng(0).random((20, 30)), np.zeros(20))
-    spec = BasisSpec.create(30, 3)
+    # 200 covariates at qstar = 3: 1,333,501 candidate sets
+    ds = Dataset(np.random.default_rng(0).random((20, 200)), np.zeros(20))
+    spec = BasisSpec.create(200, 2)
     with pytest.raises(BudgetError, match="greedy"):
-        select_exhaustive(ds, spec, 3, 0.0, budget=10)
+        select_exhaustive(ds, spec, 3, 0.0)
 
 
 def test_greedy_matches_exhaustive_on_easy_problem():
