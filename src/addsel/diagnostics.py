@@ -6,29 +6,14 @@ from math import comb, exp, log, sqrt
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBlocks, basis_matrix, block_column_chunks, \
-    build_design_blocks, marginal_moments, principal_submatrices, trig_series
+from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, \
+    marginal_moments, trig_series
 from .config import fixed_m
 from .densities import Density
 from .errors import AssumptionError, ConfigError
-from .geometry import EIG_FLOOR, PopulationGeometry, check_budget, count_subsets_up_to, \
-    kappa_values, singular_gram_error, subsets_up_to
+from .geometry import PopulationGeometry, count_subsets_up_to, kappa_values
 from .simulate import density_from_config, model_from_config
-
-def _union_collection(q, qstar, J0, subsets=None):
-    """Deduplicated J cup J0 column sets over all candidate J."""
-    J0 = tuple(sorted(J0))
-    if subsets is None:
-        check_budget(count_subsets_up_to(q, qstar, include_empty=True),
-                     "{count} candidate subsets exceed the budget {budget}; "
-                     "pass an explicit (sampled) subset collection")
-        subsets = subsets_up_to(q, qstar, include_empty=True)
-    seen = set()
-    for J in subsets:
-        union = tuple(sorted(set(J) | set(J0)))
-        if union and union not in seen:
-            seen.add(union)
-            yield union
+from .unions import union_collection, union_deviation
 
 
 def sample_subsets(q, qstar, n_samples, seed=0):
@@ -50,41 +35,6 @@ def sample_subsets(q, qstar, n_samples, seed=0):
     return sorted(set(out))
 
 
-def _max_deviation(w):
-    """max over a stack of ascending eigenvalue rows of max(w_max - 1, 1 - w_min)."""
-    return float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])))
-
-
-def _union_deviation(G_emp, G_pop, slices, unions) -> float:
-    """Largest deviation from 1 of the eigenvalues of P_U^{-1/2} E_U P_U^{-1/2}
-    over the unions, E = G_emp, P = G_pop; ``G_pop = None`` is the identity
-    and whitens nothing. Raises SingularBlockError for the first union, in
-    enumeration order, whose P_U has an eigenvalue at or below EIG_FLOOR."""
-    worst = 0.0
-    singular = None  # (position, union, min eigenvalue) of the first singular union
-    for members, cols in block_column_chunks(slices, unions):
-        if G_pop is None:
-            worst = max(worst, _max_deviation(np.linalg.eigvalsh(
-                principal_submatrices(G_emp, cols))))
-            continue
-        P = principal_submatrices(G_pop, cols)
-        w, V = np.linalg.eigh(0.5 * (P + P.transpose(0, 2, 1)))
-        bad = np.flatnonzero(w[:, 0] <= EIG_FLOOR)
-        if len(bad):
-            pos, union = members[bad[0]]
-            if singular is None or pos < singular[0]:
-                singular = (pos, union, w[bad[0], 0])
-        if singular is not None:
-            continue  # the call raises; the remaining deviations are not needed
-        W = (V * w[:, None, :] ** -0.5) @ V.transpose(0, 2, 1)
-        E = principal_submatrices(G_emp, cols)
-        worst = max(worst, _max_deviation(np.linalg.eigvalsh(W @ E @ W)))
-    if singular is not None:
-        _, union, min_eig = singular
-        raise singular_gram_error(f"population Gram on {union}", min_eig)
-    return worst
-
-
 def rip_constant(blocks: DesignBlocks, qstar: int, J0=(), subsets=None) -> float:
     """max over |J| <= qstar of the operator norm of A_{J u J0}^T A_{J u J0} - I.
 
@@ -93,8 +43,8 @@ def rip_constant(blocks: DesignBlocks, qstar: int, J0=(), subsets=None) -> float
     collection only (a lower bound of the full constant).
     """
     slices = blocks.slices()
-    return _union_deviation(blocks.full_gram(), None, slices,
-                            _union_collection(len(slices), qstar, J0, subsets))
+    return union_deviation(blocks.full_gram(), None, slices,
+                           union_collection(len(slices), qstar, J0, subsets))
 
 
 def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float, subsets=None):
@@ -105,8 +55,8 @@ def event_E_from_grams(G_emp, G_pop, slices, qstar: int, J0, delta: float, subse
     SingularBlockError for the first union, in enumeration order, whose
     population Gram has an eigenvalue at or below EIG_FLOOR.
     """
-    worst = _union_deviation(G_emp, G_pop, slices,
-                             _union_collection(len(slices), qstar, J0, subsets))
+    worst = union_deviation(G_emp, G_pop, slices,
+                            union_collection(len(slices), qstar, J0, subsets))
     return worst <= delta, worst
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,11 +10,14 @@ from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset,
                     event_E_check, rip_constant, sample_subsets,
                     selection_error_bound, subset_count_bound,
                     truncation_residual_norm_sq)
-from addsel.basis import EIG_CHUNK, block_slices, build_design_blocks, full_block_gram
-from addsel.diagnostics import _union_collection, event_E_from_grams
+from addsel.basis import EIG_CHUNK, block_column_chunks, block_slices, \
+    build_design_blocks, full_block_gram, principal_submatrices
+from addsel.diagnostics import event_E_from_grams
 from addsel.errors import SingularBlockError
-from addsel.geometry import _inv_sqrt
+from addsel.geometry import EIG_FLOOR, _inv_sqrt, singular_gram_error
 from addsel.simulate import AdditiveModel
+from addsel.unions import CERT_MARGIN, CERT_STACK, _deviation_below, _factorizes, \
+    union_collection
 
 
 def test_chi2_tail_bounds_oracle():
@@ -58,7 +63,7 @@ def test_check_cprime_boundary():
 
 
 def test_union_collection_dedup():
-    unions = list(_union_collection(4, 1, (0,)))
+    unions = list(union_collection(4, 1, (0,)))
     # J in {(),(0,),(1,),(2,),(3,)} -> unions {0},{0,1},{0,2},{0,3}
     assert sorted(unions) == [(0,), (0, 1), (0, 2), (0, 3)]
 
@@ -233,7 +238,7 @@ def test_corollary_conditions_scale_with_n():
 def _rip_per_union(blocks, qstar, J0=()):
     """RIP constant from one Gram and one eigvalsh per union."""
     delta = 0.0
-    for union in _union_collection(blocks.q, qstar, J0):
+    for union in union_collection(blocks.q, qstar, J0):
         A = blocks.concat(union)
         w = np.linalg.eigvalsh(A.T @ A)
         delta = max(delta, float(max(w[-1] - 1.0, 1.0 - w[0])))
@@ -243,7 +248,7 @@ def _rip_per_union(blocks, qstar, J0=()):
 def _event_E_per_union(G_emp, G_pop, slices, qstar, J0):
     """Event-E deviation from one whitening and one eigvalsh per union."""
     worst = 0.0
-    for union in _union_collection(len(slices), qstar, J0):
+    for union in union_collection(len(slices), qstar, J0):
         c = np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in union])
         W = _inv_sqrt(G_pop[np.ix_(c, c)], f"population Gram on {union}")
         w = np.linalg.eigvalsh(W @ G_emp[np.ix_(c, c)] @ W)
@@ -302,6 +307,59 @@ def test_event_E_singular_population_gram_names_first_union():
     assert str(got.value) == str(ref.value)
     assert got.value.block == ref.value.block
 
+    # 24 two-column blocks, then the duplicated three-column blocks 24, 25:
+    # G_emp is G_pop with block 0 scaled, so every union without block 0 has
+    # deviation at rounding level and the second 4-column chunk (the last 20
+    # pairs) is certified whole before (24, 25) is reached in a later chunk
+    dims = [2] * 24 + [3, 3]
+    slices = block_slices(dims)
+    F = rng.standard_normal((120, sum(dims)))
+    F[:, slices[25]] = F[:, slices[24]]
+    G_pop = F.T @ F / 120
+    scale = np.ones(sum(dims))
+    scale[slices[0]] = 2.0
+    G_emp = G_pop * scale[:, None] * scale[None, :]
+    chunks = [members for members, cols in
+              block_column_chunks(slices, union_collection(26, 2, ()))
+              if cols.shape[1] == 4]
+    assert len(chunks) == 2 and all(0 not in union for _, union in chunks[1])
+    with pytest.raises(SingularBlockError) as ref:
+        _full_pass(G_emp, G_pop, slices, union_collection(26, 2, ()))
+    with pytest.raises(SingularBlockError) as got:
+        event_E_from_grams(G_emp, G_pop, slices, 2, (), 0.5)
+    assert "(24, 25)" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert got.value.block == ref.value.block
+
+
+@pytest.mark.parametrize("least", [1.001 * EIG_FLOOR, EIG_FLOOR, 0.5 * EIG_FLOOR])
+def test_event_E_population_gram_near_the_floor(least):
+    # P_U's least eigenvalue is one diagonal entry of block 66, whose
+    # singleton sits in the second stack of CERT_STACK, after block 0 (scaled
+    # in G_emp) has set the running maximum; G_emp equals G_pop on block 66, so
+    # the deviation certificate clears (66,) and only the EIG_FLOOR test can
+    # send its P_U to eigh: above EIG_FLOOR it passes, at or below it is
+    # refused, both as in the full pass
+    assert 66 >= CERT_STACK
+    dims = [2] * 70
+    slices = block_slices(dims)
+    G_pop = np.eye(sum(dims))
+    G_pop[slices[66].start, slices[66].start] = least
+    G_emp = G_pop.copy()
+    G_emp[slices[0], slices[0]] *= 4.0
+    unions = list(union_collection(70, 1, ()))
+    if least > EIG_FLOOR:
+        _, dev = event_E_from_grams(G_emp, G_pop, slices, 1, (), 0.5)
+        assert dev == _full_pass(G_emp, G_pop, slices, unions) == 3.0
+        return
+    with pytest.raises(SingularBlockError) as ref:
+        _full_pass(G_emp, G_pop, slices, unions)
+    with pytest.raises(SingularBlockError) as got:
+        event_E_from_grams(G_emp, G_pop, slices, 1, (), 0.5)
+    assert "(66,)" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert got.value.block == ref.value.block
+
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_identity_population_gram_gives_event_E_equal_to_rip(seed):
@@ -332,7 +390,7 @@ def test_union_chunks_equal_per_union_block_columns():
     for qstar, J0, subsets in ((4, (), None), (3, (1, 6), None),
                                (4, (2,), sample_subsets(16, 4, 300, seed=3))):
         groups = {}
-        for pos, union in enumerate(_union_collection(16, qstar, J0, subsets)):
+        for pos, union in enumerate(union_collection(16, qstar, J0, subsets)):
             c = block_columns(slices, union)
             if len(c):
                 groups.setdefault(len(c), []).append((pos, union, c))
@@ -341,10 +399,164 @@ def test_union_chunks_equal_per_union_block_columns():
             for lo in range(0, len(groups[d]), EIG_CHUNK):
                 chunk = groups[d][lo:lo + EIG_CHUNK]
                 expected.append(([(p, u) for p, u, _ in chunk], np.array([c for *_, c in chunk])))
-        got = list(block_column_chunks(slices, _union_collection(16, qstar, J0, subsets)))
+        got = list(block_column_chunks(slices, union_collection(16, qstar, J0, subsets)))
         full_chunks += sum(len(members) == EIG_CHUNK for members, _ in got)
         assert len(got) == len(expected)
         for (members, cols), (ref_members, ref_cols) in zip(got, expected):
             assert members == ref_members
             assert cols.dtype == ref_cols.dtype and np.array_equal(cols, ref_cols)
     assert full_chunks > 0
+
+
+def _full_pass(G_emp, G_pop, slices, unions):
+    """The union walk with no certificate: eigvalsh, or eigh whitening, on
+    every stacked chunk."""
+    worst = 0.0
+    singular = None
+    for members, cols in block_column_chunks(slices, unions):
+        if G_pop is None:
+            w = np.linalg.eigvalsh(principal_submatrices(G_emp, cols))
+            worst = max(worst, float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]))))
+            continue
+        P = principal_submatrices(G_pop, cols)
+        w, V = np.linalg.eigh(0.5 * (P + P.transpose(0, 2, 1)))
+        bad = np.flatnonzero(w[:, 0] <= EIG_FLOOR)
+        if len(bad):
+            pos, union = members[bad[0]]
+            if singular is None or pos < singular[0]:
+                singular = (pos, union, w[bad[0], 0])
+        if singular is not None:
+            continue
+        W = (V * w[:, None, :] ** -0.5) @ V.transpose(0, 2, 1)
+        w = np.linalg.eigvalsh(W @ principal_submatrices(G_emp, cols) @ W)
+        worst = max(worst, float(np.max(np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]))))
+    if singular is not None:
+        _, union, min_eig = singular
+        raise singular_gram_error(f"population Gram on {union}", min_eig)
+    return worst
+
+
+def _law_grams(law, m, seed, q=14, n=90):
+    """(G_emp, G_pop, slices) of a design drawn from the law; G_pop is None
+    for the uniform law, whose population Gram is the identity."""
+    from addsel import GaussianCopulaDensity, TableDensity
+    tilt = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+    density = {"uniform": UniformDensity(), "copula": GaussianCopulaDensity(0.3),
+               "table": TableDensity(tables={0: tilt, 3: tilt, 7: tilt})}[law]
+    spec = BasisSpec.create(q, m)
+    blocks = build_design_blocks(density.sample(n, q, np.random.default_rng(seed)), spec)
+    G_pop = None if law == "uniform" else full_block_gram(spec, density)[0]
+    return blocks.full_gram(), G_pop, blocks.slices()
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to count the matrices it is given."""
+    seen = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        seen[0] += len(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return seen
+
+
+MIXED_M = (3, 1, 5, 4, 2, 4, 3, 6, 4, 1, 3, 5, 4, 4)  # blocks 1 and 9 have no columns
+
+
+@pytest.mark.parametrize("law,m,J0,sampled", [
+    ("uniform", 4, (), False), ("uniform", 4, (1, 5), False), ("uniform", 4, (2,), True),
+    ("uniform", MIXED_M, (1,), False),
+    ("copula", 4, (), False), ("copula", 4, (0, 13), False), ("copula", 4, (), True),
+    ("copula", MIXED_M, (), False),
+    ("table", 4, (), False), ("table", 4, (3,), False), ("table", 4, (6,), True),
+])
+def test_union_walk_equals_full_pass_bitwise(law, m, J0, sampled, monkeypatch):
+    # the certificate skips eigvalsh on most unions, yet the maximum is read
+    # off eigvalsh of the same matrix as in the full pass: equal, not close
+    G_emp, G_pop, slices = _law_grams(law, m, seed=40 + len(J0))
+    subsets = sample_subsets(14, 3, 200, seed=5) if sampled else None
+    unions = list(union_collection(14, 3, J0, subsets))
+    ref = _full_pass(G_emp, G_pop, slices, unions)
+    seen = _counting_eigvalsh(monkeypatch)
+    holds, dev = event_E_from_grams(G_emp, G_pop, slices, 3, J0, 0.5, subsets=subsets)
+    assert dev == ref and holds == (ref <= 0.5)
+    assert seen[0] < len(unions)
+
+
+@pytest.mark.parametrize("law", ["uniform", "copula"])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_union_walk_maximum_at_a_chunk_edge(law, where):
+    # block 0 is scaled up in G_emp and the only union holding it is (0, 1, 2),
+    # placed first in the second 9-column chunk or last in the collection,
+    # among 78 pairs and 287 triples
+    G_emp, G_pop, slices = _law_grams(law, 4, seed=44)
+    scale = np.ones(len(G_emp))
+    scale[slices[0]] = 1.5
+    G_emp = G_emp * scale[:, None] * scale[None, :]
+    pairs = list(itertools.combinations(range(1, 14), 2))
+    triples = list(itertools.combinations(range(1, 14), 3))
+    if where == "first":
+        subsets = pairs + triples[:EIG_CHUNK] + [(0, 1, 2)] + triples[EIG_CHUNK:]
+    else:
+        subsets = pairs + triples + [(0, 1, 2)]
+    chunks = [members for members, _ in block_column_chunks(slices, subsets)]
+    if where == "first":
+        assert chunks[2][0][1] == (0, 1, 2)
+    else:
+        assert (len(subsets) - 1, (0, 1, 2)) in chunks[-1]
+    ref = _full_pass(G_emp, G_pop, slices, subsets)
+    assert ref == _full_pass(G_emp, G_pop, slices, [(0, 1, 2)])
+    assert event_E_from_grams(G_emp, G_pop, slices, 3, (), 0.5, subsets=subsets)[1] == ref
+
+
+def test_diagnose_wide_workload_delta_is_unchanged(monkeypatch):
+    # the benchmark's diagnose-wide config at seed 7: 9,178 unions, most of
+    # them certified, and the same delta as the full pass gave
+    from test_benchmark_workloads import ALL
+    from addsel.config import parse_config
+    from addsel.diagnostics import diagnose
+    seen = _counting_eigvalsh(monkeypatch)
+    report = diagnose(parse_config(ALL["diagnose-wide"].config_text(seed=7)))
+    assert report["delta_qstar"] == 0.5737191613580443
+    assert report["event_E_holds"]["max_deviation"] == report["delta_qstar"]
+    assert seen[0] < 9178 // 10
+
+
+def test_certificate_refuses_a_union_within_the_margin():
+    # [DERIVED] with t = 0.3, an eigenvalue at 1 - t + eta/2 or 1 + t - eta/2
+    # leaves a deviation in (t - eta, t]: such a union goes to eigvalsh
+    assert CERT_MARGIN == 1e-10
+    t = 0.3
+    E = np.repeat(np.eye(4)[None], 4, axis=0)
+    E[1, 2, 2] = 1.0 - t + 0.5e-10
+    E[2, 0, 0] = 1.0 + t - 0.5e-10
+    E[3, 3, 3] = 1.0 - t + 2e-10
+    assert _deviation_below(E, None, t).tolist() == [True, False, False, True]
+    # the generalized form: (2 E, 2 I) has the eigenvalues of E
+    assert _deviation_below(2.0 * E, 2.0 * np.repeat(np.eye(4)[None], 4, axis=0),
+                            t).tolist() == [True, False, False, True]
+
+
+def _cholesky_succeeds(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("k", [1, 2, 257])
+@pytest.mark.parametrize("failing", ["none", "first", "last", "every", "scattered"])
+def test_factorizes_equals_per_matrix_cholesky(k, failing):
+    rng = np.random.default_rng(k)
+    F = rng.standard_normal((k, 7, 5))
+    A = F.transpose(0, 2, 1) @ F
+    fail = {"none": np.zeros(k, dtype=bool), "every": np.ones(k, dtype=bool),
+            "first": np.arange(k) == 0, "last": np.arange(k) == k - 1,
+            "scattered": rng.random(k) < 0.3}[failing]
+    A[fail] -= 100.0 * np.eye(5)
+    expected = [_cholesky_succeeds(a) for a in A]
+    assert expected == (~fail).tolist()
+    assert _factorizes(A).tolist() == expected

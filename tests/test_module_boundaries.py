@@ -5,7 +5,8 @@ A leading underscore marks a helper as private to its module; a rule other
 modules need gets a public name in one home instead of a second copy or a
 reach into another module's internals. The layer order says where that home
 can be: a helper both ``geometry`` and ``diagnostics`` use lives in ``basis``
-or lower. Each ``src/addsel/*.py`` is parsed, not imported.
+or lower. No module reaches a private numpy or scipy name either, so a fast
+path stays on public API. Each ``src/addsel/*.py`` is parsed, not imported.
 """
 
 import ast
@@ -13,8 +14,8 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "addsel").glob("*.py"))
 #: every module but ``__init__``, lowest first; each imports only modules before it
-LAYERS = ("errors", "config", "densities", "basis", "geometry", "selection", "simulate",
-          "diagnostics", "estimate", "cli")
+LAYERS = ("errors", "config", "densities", "basis", "geometry", "unions", "selection",
+          "simulate", "diagnostics", "estimate", "cli")
 
 
 def _imports_from_addsel(node):
@@ -54,3 +55,45 @@ def test_modules_import_only_lower_layers():
             upward += [f"{source.name}:{node.lineno}: {mod}" for mod in _modules_imported(node)
                        if LAYERS.index(mod) >= rank]
     assert not upward, upward
+
+
+#: names under which the modules reach numpy and scipy
+NUMERIC = ("np", "numpy", "scipy")
+
+
+def _private_numeric_uses(tree):
+    """Lines where an attribute chain or import on numpy or scipy passes
+    through an underscore name, such as ``np.linalg._umath_linalg``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in NUMERIC:
+                if any(name.startswith("_") for name in chain):
+                    found.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                if node.level or (node.module or "").split(".")[0] not in NUMERIC:
+                    continue
+                names = [f"{node.module}.{name}" for name in names]
+            if any(name.split(".")[0] in NUMERIC
+                   and any(part.startswith("_") for part in name.split("."))
+                   for name in names):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_private_numpy_or_scipy_api():
+    for probe in ("np.linalg._umath_linalg.cholesky_lo(a)",
+                  "from numpy.linalg import _umath_linalg",
+                  "import scipy.linalg._flapack"):
+        assert _private_numeric_uses(ast.parse(probe)) == [1], probe
+    assert _private_numeric_uses(ast.parse("np.linalg.cholesky(a)\nimport numpy as np")) == []
+    private = [f"{source.name}:{line}" for source in SOURCES
+               for line in _private_numeric_uses(ast.parse(source.read_text(),
+                                                            filename=str(source)))]
+    assert not private, private
