@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,37 +123,37 @@ def block_columns(slices, J) -> np.ndarray:
     return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in sorted(J)])
 
 
-def block_column_chunks(slices, block_sets):
-    """Ascending block sets grouped by column count, in chunks of at most EIG_CHUNK.
+def _ranges(starts, lengths):
+    """The concatenation of arange(a, a + k) over the pairs (a, k) of starts and
+    (nonempty) lengths."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts + lengths - ends, lengths)
+
+
+def block_column_chunks(slices, block_sets, chunk=EIG_CHUNK):
+    """Ascending block sets grouped by column count, in chunks of at most ``chunk``.
 
     Yields (members, cols): members are (position in ``block_sets``, set)
     pairs, ascending within the chunk; cols is the (k, d) array of their
     column indices, row i equal to ``block_columns(slices, set_i)``. Sets
     without columns are skipped.
     """
+    sets = list(block_sets)
     starts = np.array([s.start for s in slices], dtype=int)
-    widths = [s.stop - s.start for s in slices]
-    groups = {}
-    for pos, J in enumerate(block_sets):
-        sig = tuple(widths[j] for j in J)
-        if sum(sig):
-            groups.setdefault(sum(sig), []).append((pos, J, sig))
-    for d in sorted(groups):
-        members = groups[d]
-        for lo in range(0, len(members), EIG_CHUNK):
-            chunk = members[lo:lo + EIG_CHUNK]
-            rows_by_sig = {}
-            for row, (_, _, sig) in enumerate(chunk):
-                rows_by_sig.setdefault(sig, []).append(row)
-            cols = np.empty((len(chunk), d), dtype=int)
-            for sig, rows in rows_by_sig.items():
-                # one broadcast for all sets of this block-width signature:
-                # column t of such a set is start(block b_t) + (t - offset of b_t)
-                block_of = np.repeat(np.arange(len(sig)), sig)
-                within = np.arange(d) - np.repeat(np.cumsum(sig) - sig, sig)
-                U = np.array([chunk[r][1] for r in rows])
-                cols[rows] = starts[U][:, block_of] + within
-            yield [(pos, J) for pos, J, _ in chunk], cols
+    widths = np.array([s.stop - s.start for s in slices], dtype=int)
+    sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
+    flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=int, count=int(sizes.sum()))
+    first = np.cumsum(sizes) - sizes  # where each set's blocks begin in flat
+    counts = np.bincount(np.repeat(np.arange(len(sets)), sizes), weights=widths[flat],
+                         minlength=len(sets)).astype(int)
+    # np.unique would import numpy.ma, about 0.3 MB more peak memory per run
+    for d in sorted(set(counts.tolist()) - {0}):
+        group = np.flatnonzero(counts == d)
+        for lo in range(0, len(group), chunk):
+            pos = group[lo:lo + chunk]
+            blocks = flat[_ranges(first[pos], sizes[pos])]
+            cols = _ranges(starts[blocks], widths[blocks]).reshape(len(pos), d)
+            yield [(p, sets[p]) for p in pos.tolist()], cols
 
 
 def principal_submatrices(G, cols):

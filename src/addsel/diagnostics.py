@@ -31,7 +31,7 @@ def sample_subsets(q, qstar, n_samples, seed=0):
         per_size = max(1, n_samples // len(sizes))
         for r in sizes:
             for _ in range(per_size):
-                out.append(tuple(sorted(rng.choice(q, size=r, replace=False))))
+                out.append(tuple(sorted(rng.choice(q, size=r, replace=False).tolist())))
     return sorted(set(out))
 
 
@@ -135,7 +135,7 @@ def subset_count_bound(q: int, qstar: int):
     """(exact, bound): sum_{j<=qstar} C(q,j) and its (e q / qstar)^qstar bound."""
     if not 1 <= qstar <= q:
         raise AssumptionError(f"need 1 <= qstar <= q, got qstar={qstar}, q={q}")
-    exact = sum(comb(q, j) for j in range(qstar + 1))
+    exact = count_subsets_up_to(q, qstar, include_empty=True)
     log_bound = qstar * (1.0 + log(q / qstar))
     bound = exp(log_bound) if log_bound < 700 else float("inf")
     return exact, bound
@@ -167,6 +167,8 @@ def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
         raise AssumptionError(f"rho must lie in [0,1), got {rho}")
     if np.any(kappa_l[:s] <= 0.0):
         raise AssumptionError("all kappa_l must be strictly positive")
+    if s > qstar:
+        raise AssumptionError(f"need s <= qstar, got s={s}, qstar={qstar}")
     if len(d_l) < qstar:
         raise AssumptionError(f"d_l must cover sizes 1..{qstar}")
     if not check_cprime(delta, cprime):
@@ -246,11 +248,15 @@ def diagnose(cfg: dict) -> dict:
     The design is drawn from the first child of ``cfg['seed']``, the model
     from the seed itself. Above 20,000 candidate sets, RIP and event E range
     over ``sample_subsets`` and ``subset_collection`` says so. ConfigError
-    when s = 0 (kappa is undefined) or delta = 0 (the c' condition needs 0 < delta).
+    when s = 0 (kappa is undefined), s > qstar (no candidate J covers J0) or
+    delta = 0 (the c' condition needs 0 < delta).
     """
     if cfg["s"] < 1:
         raise ConfigError("diagnose needs s >= 1: kappa is undefined for an empty "
                           "active set")
+    if cfg["s"] > cfg["qstar"]:
+        raise ConfigError("diagnose needs s <= qstar: no candidate set of size "
+                          "<= qstar holds the active set")
     if cfg["delta"] <= 0:
         raise ConfigError("diagnose needs delta > 0: the c' condition requires 0 < delta < 1")
     q, qstar, delta, cprime = cfg["q"], cfg["qstar"], cfg["delta"], cfg["cprime"]

@@ -189,8 +189,7 @@ def kappa_values(model, density: Density):
     s = len(J0)
     if s == 0:
         raise AssumptionError("kappa is undefined for an empty active set")
-    if s > 20:
-        raise BudgetError(f"2^{s} subsets of J0 exceed the enumeration budget", count=2 ** s)
+    check_budget(2 ** s - 1, "{count} subsets of J0 exceed the budget {budget}")
     # basis spec sized to each component's coefficient support
     m = [1] * model.q
     for j in J0:
@@ -200,12 +199,11 @@ def kappa_values(model, density: Density):
     sl = block_slices([spec.dim(j) for j in J0])
     coef = np.concatenate([np.asarray(model.theta[j], dtype=float) for j in J0])
     kappa_l = np.full(s, np.inf)
-    for r in range(1, s + 1):
-        for sub in itertools.combinations(range(s), r):
-            c = np.zeros_like(coef)
-            for a in sub:
-                c[sl[a]] = coef[sl[a]]
-            kappa_l[r - 1] = min(kappa_l[r - 1], float(c @ G @ c))
+    for sub in subsets_up_to(s, s):
+        c = np.zeros_like(coef)
+        for a in sub:
+            c[sl[a]] = coef[sl[a]]
+        kappa_l[len(sub) - 1] = min(kappa_l[len(sub) - 1], float(c @ G @ c))
     return float(kappa_l.min()), kappa_l
 
 

@@ -18,19 +18,17 @@ CERT_STACK = 64
 
 
 def union_collection(q, qstar, J0, subsets=None):
-    """Deduplicated J cup J0 column sets over all candidate J."""
-    J0 = tuple(sorted(J0))
+    """The nonempty unions J cup J0 over all candidate J, each once, in order
+    of first occurrence."""
+    J0 = set(J0)
     if subsets is None:
         check_budget(count_subsets_up_to(q, qstar, include_empty=True),
                      "{count} candidate subsets exceed the budget {budget}; "
                      "pass an explicit (sampled) subset collection")
         subsets = subsets_up_to(q, qstar, include_empty=True)
-    seen = set()
-    for J in subsets:
-        union = tuple(sorted(set(J) | set(J0)))
-        if union and union not in seen:
-            seen.add(union)
-            yield union
+    unions = dict.fromkeys(tuple(sorted(J0.union(J))) for J in subsets)
+    unions.pop((), None)
+    return list(unions)
 
 
 def _max_deviation(w):
@@ -75,20 +73,6 @@ def _deviation_below(E, P, t):
     return _definite(E, 1.0 - t + CERT_MARGIN, 1.0 + t - CERT_MARGIN, P)
 
 
-def _union_stacks(G_emp, G_pop, slices, unions):
-    """(members, E, P) for the unions in stacks of at most CERT_STACK, in the
-    order of ``basis.block_column_chunks``: E and P are the stacked principal
-    submatrices of G_emp and of the symmetrized G_pop (None when G_pop is)."""
-    for members, cols in block_column_chunks(slices, unions):
-        for lo in range(0, len(members), CERT_STACK):
-            c = cols[lo:lo + CERT_STACK]
-            P = None
-            if G_pop is not None:
-                P = principal_submatrices(G_pop, c)
-                P = 0.5 * (P + P.transpose(0, 2, 1))
-            yield members[lo:lo + CERT_STACK], principal_submatrices(G_emp, c), P
-
-
 def union_deviation(G_emp, G_pop, slices, unions) -> float:
     """Largest deviation from 1 of the eigenvalues of P_U^{-1/2} E_U P_U^{-1/2}
     over the unions, E = G_emp, P = G_pop; ``G_pop = None`` is the identity
@@ -106,7 +90,12 @@ def union_deviation(G_emp, G_pop, slices, unions) -> float:
     worst = 0.0
     singular = None  # (position, union, min eigenvalue) of the first singular union
     width = None  # column count of the previous stack
-    for members, E, P in _union_stacks(G_emp, G_pop, slices, unions):
+    for members, cols in block_column_chunks(slices, unions, CERT_STACK):
+        E = principal_submatrices(G_emp, cols)
+        P = None
+        if G_pop is not None:
+            P = principal_submatrices(G_pop, cols)
+            P = 0.5 * (P + P.transpose(0, 2, 1))
         # wider unions mostly raise the maximum, so on the first stack of a
         # column count the certificate would fail nearly throughout
         certify = worst > CERT_MARGIN and E.shape[-1] == width

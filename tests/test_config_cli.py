@@ -172,6 +172,18 @@ def test_cli_refuses_empty_active_set_before_any_work(tmp_path, monkeypatch, com
     assert command in record["error"]["message"] and "s >= 1" in record["error"]["message"]
 
 
+def test_cli_diagnose_refuses_s_above_qstar(tmp_path):
+    # the bound's index d_l[qstar - s + l - 1] used to wrap, and diagnose
+    # reported 1.6e-28 for a config on which simulate never recovers J0
+    cfg = _write(tmp_path, "n = 4000\nq = 6\ns = 3\nqstar = 2\nsigma = 0.1\n")
+    out = str(tmp_path / "sq.jsonl")
+    assert main(["diagnose", "--config", cfg, "--out", out]) == 2
+    manifest, record = _lines(out)
+    assert manifest["command"] == "diagnose"
+    assert record["error"]["type"] == "ConfigError"
+    assert "s <= qstar" in record["error"]["message"]
+
+
 @pytest.mark.parametrize("line,key", [("alpha = -0.5", "alpha"),
                                       ("n_grid = -8,-4,2", "n_grid")])
 def test_cli_estimate_refuses_nonpositive_alpha_and_grid(tmp_path, capsys, line, key):

@@ -68,6 +68,51 @@ def test_union_collection_dedup():
     assert sorted(unions) == [(0,), (0, 1), (0, 2), (0, 3)]
 
 
+def _seen_set_unions(q, qstar, J0, subsets=None):
+    """union_collection as a loop over one ``seen`` set, for reference."""
+    J0 = tuple(sorted(J0))
+    if subsets is None:
+        subsets = itertools.chain([()], *(itertools.combinations(range(q), r)
+                                          for r in range(1, qstar + 1)))
+    seen = set()
+    for J in subsets:
+        union = tuple(sorted(set(J) | set(J0)))
+        if union and union not in seen:
+            seen.add(union)
+            yield union
+
+
+@pytest.mark.parametrize("J0", [(), (3,), (1, 6, 9)])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_union_collection_equals_seen_set_loop(J0, sampled):
+    subsets = sample_subsets(12, 3, 150, seed=2) if sampled else None
+    got = union_collection(12, 3, J0, subsets)
+    assert got == list(_seen_set_unions(12, 3, J0, subsets))
+    assert len(set(got)) == len(got) and () not in got
+
+
+def _sample_subsets_numpy(q, qstar, n_samples, seed=0):
+    """sample_subsets with the numpy integers of rng.choice kept, for reference."""
+    rng = np.random.default_rng(seed)
+    out = [(j,) for j in range(q)]
+    sizes = list(range(2, qstar + 1))
+    if sizes:
+        per_size = max(1, n_samples // len(sizes))
+        for r in sizes:
+            for _ in range(per_size):
+                out.append(tuple(sorted(rng.choice(q, size=r, replace=False))))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("q,qstar,n_samples,seed", [(10, 3, 50, 4), (50, 3, 2000, 11),
+                                                     (16, 4, 300, 3)])
+def test_sample_subsets_returns_python_ints(q, qstar, n_samples, seed):
+    # same draws, same order; only the element type changes
+    got = sample_subsets(q, qstar, n_samples, seed=seed)
+    assert got == _sample_subsets_numpy(q, qstar, n_samples, seed=seed)
+    assert all(type(j) is int for J in got for j in J)
+
+
 def test_sample_subsets_deterministic_and_covering():
     a = sample_subsets(10, 3, 50, seed=4)
     b = sample_subsets(10, 3, 50, seed=4)
@@ -223,6 +268,28 @@ def test_selection_error_bound_validates_inputs():
     with pytest.raises(AssumptionError):
         # inadmissible (delta, cprime)
         selection_error_bound(100, 1.0, 0.0, [1.0], [2], 1, 1, 4, 0.5, 0.5)
+
+
+def test_selection_error_bound_refuses_s_above_qstar():
+    # d_l[qstar - s + l - 1] would index from the end of d_l
+    with pytest.raises(AssumptionError, match="s <= qstar"):
+        selection_error_bound(4000, 0.01, 0.0, [1.0, 2.0, 3.0], [4, 8], 3, 2, 6, 0.5, 0.001)
+
+
+def test_diagnose_refuses_s_above_qstar_before_any_work(monkeypatch):
+    # no candidate J with |J| <= qstar covers J0, so the bound has no meaning;
+    # it used to read 1.6e-28 here while simulate recovered J0 in no trial
+    from addsel import diagnostics
+    from addsel.config import parse_config
+    from addsel.errors import ConfigError
+
+    def no_work(cfg):
+        raise AssertionError("s > qstar must be refused before the law is built")
+
+    monkeypatch.setattr(diagnostics, "density_from_config", no_work)
+    cfg = parse_config("n = 4000\nq = 6\ns = 3\nqstar = 2\nsigma = 0.1\n")
+    with pytest.raises(ConfigError, match="s <= qstar"):
+        diagnostics.diagnose(cfg)
 
 
 def test_corollary_conditions_scale_with_n():
@@ -385,27 +452,36 @@ def test_union_chunks_equal_per_union_block_columns():
     # widths 3, 0, 5, 1, ... mix many block-width signatures in one column
     # count; the zero-width block drops out of every union it joins
     from addsel.basis import block_column_chunks, block_columns
-    slices = block_slices([3, 0, 5, 1, 2, 4, 6, 2, 3, 1, 5, 2, 2, 2, 2, 2])
-    full_chunks = 0
+    slices = block_slices([3, 0, 5, 1, 2, 4, 6, 2, 3, 1, 5, 2, 2, 2, 2, 2, 0, 0])
+    full_chunks = {EIG_CHUNK: 0, CERT_STACK: 0}
     for qstar, J0, subsets in ((4, (), None), (3, (1, 6), None),
-                               (4, (2,), sample_subsets(16, 4, 300, seed=3))):
+                               (4, (2,), sample_subsets(16, 4, 300, seed=3)),
+                               (1, (), []),
+                               # blocks 1, 16 and 17 have no columns
+                               (2, (), [(1,), (16,), (1, 16), (1, 16, 17), (0, 17)])):
+        unions = union_collection(18, qstar, J0, subsets)
         groups = {}
-        for pos, union in enumerate(union_collection(16, qstar, J0, subsets)):
+        for pos, union in enumerate(unions):
             c = block_columns(slices, union)
             if len(c):
                 groups.setdefault(len(c), []).append((pos, union, c))
-        expected = []
-        for d in sorted(groups):
-            for lo in range(0, len(groups[d]), EIG_CHUNK):
-                chunk = groups[d][lo:lo + EIG_CHUNK]
-                expected.append(([(p, u) for p, u, _ in chunk], np.array([c for *_, c in chunk])))
-        got = list(block_column_chunks(slices, union_collection(16, qstar, J0, subsets)))
-        full_chunks += sum(len(members) == EIG_CHUNK for members, _ in got)
-        assert len(got) == len(expected)
-        for (members, cols), (ref_members, ref_cols) in zip(got, expected):
-            assert members == ref_members
-            assert cols.dtype == ref_cols.dtype and np.array_equal(cols, ref_cols)
-    assert full_chunks > 0
+        for size in full_chunks:
+            expected = []
+            for d in sorted(groups):
+                for lo in range(0, len(groups[d]), size):
+                    chunk = groups[d][lo:lo + size]
+                    expected.append(([(p, u) for p, u, _ in chunk],
+                                     np.array([c for *_, c in chunk])))
+            got = list(block_column_chunks(slices, unions, size) if size == CERT_STACK
+                       else block_column_chunks(slices, unions))
+            full_chunks[size] += sum(len(members) == size for members, _ in got)
+            assert len(got) == len(expected)
+            for (members, cols), (ref_members, ref_cols) in zip(got, expected):
+                assert members == ref_members
+                assert cols.dtype == ref_cols.dtype and np.array_equal(cols, ref_cols)
+    assert min(full_chunks.values()) > 0
+    # sets whose blocks all have zero width yield nothing
+    assert list(block_column_chunks(slices, [(1,), (16, 17), (1, 16, 17)])) == []
 
 
 def _full_pass(G_emp, G_pop, slices, unions):

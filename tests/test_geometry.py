@@ -135,6 +135,15 @@ def test_kappa_values_uniform_oracle():
     npt.assert_allclose(kappa, 1.0, atol=1e-8)
 
 
+def test_kappa_values_refuses_twenty_actives_under_the_budget():
+    # 2^20 - 1 = 1,048,575 subsets of J0 exceed SUBSET_BUDGET = 10^6; the
+    # check runs before any Gram is built
+    model = _model(24, range(20), (1.0,) * 20)
+    with pytest.raises(BudgetError) as exc:
+        kappa_values(model, UniformDensity())
+    assert (exc.value.count, exc.value.budget) == (2 ** 20 - 1, 10 ** 6)
+
+
 def test_projection_gap_uniform():
     model = _model(4, (0, 1), (1.0, 2.0))
     spec = BasisSpec.create(4, 3)
@@ -279,6 +288,8 @@ _X4 = np.random.default_rng(0).random((10, 4))
     pytest.param(lambda: rip_constant(build_design_blocks(_X4, _SPEC4), 1), 5,
                  "5 candidate subsets exceed the budget 2; pass an explicit (sampled) "
                  "subset collection", id="unions"),
+    pytest.param(lambda: kappa_values(_model(4, (0, 1), (1.0, 2.0)), UniformDensity()), 3,
+                 "3 subsets of J0 exceed the budget 2", id="kappa"),
     pytest.param(lambda: select_exhaustive(Dataset(_X4, _X4[:, 0]), _SPEC4, 1, 0.0), 5,
                  "exhaustive search over 5 subsets exceeds the budget 2; consider "
                  "select_greedy", id="exhaustive"),
