@@ -14,10 +14,10 @@ from .errors import AddselError, ConfigError
 QUAD_NODES_1D = 2048
 #: nodes per axis for pairwise (dependent-covariate) integrals
 QUAD_NODES_2D = 512
-#: most principal submatrices stacked into one batched eigenvalue call; the
-#: stack and its LAPACK workspace stay a few MB instead of growing with the
-#: number of sets
-EIG_CHUNK = 256
+#: most principal submatrices stacked into one batched eigenvalue or Cholesky
+#: call; the stack and its LAPACK workspace stay small instead of growing with
+#: the number of sets
+EIG_CHUNK = 64
 
 
 def eval_basis(k: int, x: float) -> float:
@@ -130,8 +130,8 @@ def _ranges(starts, lengths):
     return np.arange(ends[-1]) + np.repeat(starts + lengths - ends, lengths)
 
 
-def block_column_chunks(slices, block_sets, chunk=EIG_CHUNK):
-    """Ascending block sets grouped by column count, in chunks of at most ``chunk``.
+def block_column_chunks(slices, block_sets):
+    """Ascending block sets grouped by column count, in chunks of at most EIG_CHUNK.
 
     Yields (members, cols): members are (position in ``block_sets``, set)
     pairs, ascending within the chunk; cols is the (k, d) array of their
@@ -149,8 +149,8 @@ def block_column_chunks(slices, block_sets, chunk=EIG_CHUNK):
     # np.unique would import numpy.ma, about 0.3 MB more peak memory per run
     for d in sorted(set(counts.tolist()) - {0}):
         group = np.flatnonzero(counts == d)
-        for lo in range(0, len(group), chunk):
-            pos = group[lo:lo + chunk]
+        for lo in range(0, len(group), EIG_CHUNK):
+            pos = group[lo:lo + EIG_CHUNK]
             blocks = flat[_ranges(first[pos], sizes[pos])]
             cols = _ranges(starts[blocks], widths[blocks]).reshape(len(pos), d)
             yield [(p, sets[p]) for p in pos.tolist()], cols

@@ -229,6 +229,8 @@ def _grid_points(k, grid_size):
     """Points per axis of the sup-norm grid over k covariates: halved down to 8
     until the k-dimensional grid fits GRID_BUDGET."""
     g = int(grid_size)
+    if g < 1:
+        raise AssumptionError(f"grid_size must be >= 1, got {grid_size}")
     while g ** k > GRID_BUDGET and g > 8:
         g = g // 2
     return g

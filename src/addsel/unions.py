@@ -10,11 +10,10 @@ from .geometry import EIG_FLOOR, check_budget, count_subsets_up_to, singular_gra
     subsets_up_to
 
 #: margin by which Cholesky must clear a union's deviation below the running
-#: maximum, or P_U's least eigenvalue above EIG_FLOOR, before the eigensolver
-#: skips it; it dwarfs the rounding of both, so a skipped union is never the maximum
+#: maximum, or the population Gram's least eigenvalue above EIG_FLOOR, before
+#: the eigensolver skips it; it dwarfs the rounding of both, so a skipped union
+#: is never the maximum
 CERT_MARGIN = 1e-10
-#: most matrices one Cholesky certificate factors at once
-CERT_STACK = 64
 
 
 def union_collection(q, qstar, J0, subsets=None):
@@ -73,62 +72,56 @@ def _deviation_below(E, P, t):
     return _definite(E, 1.0 - t + CERT_MARGIN, 1.0 + t - CERT_MARGIN, P)
 
 
+def _refuse_singular(G_pop, slices, unions):
+    """Raise SingularBlockError for the first union, in enumeration order,
+    whose P_U, sliced from the symmetric G_pop, has an eigenvalue at or below
+    EIG_FLOOR. By Cauchy interlacing no P_U has a smaller least eigenvalue
+    than G_pop, so one Cholesky of G_pop clears every union at once; only if
+    it fails does every P_U get ``eigh``."""
+    if _definite(G_pop[None], EIG_FLOOR + CERT_MARGIN)[0]:
+        return
+    bad = []  # (position, union, least eigenvalue) of each stack's first singular union
+    for members, cols in block_column_chunks(slices, unions):
+        least = np.linalg.eigh(principal_submatrices(G_pop, cols))[0][:, 0]
+        bad += [(*members[i], least[i]) for i in np.flatnonzero(least <= EIG_FLOOR)[:1]]
+    if bad:
+        _, union, least = min(bad)  # positions are distinct
+        raise singular_gram_error(f"population Gram on {union}", least)
+
+
 def union_deviation(G_emp, G_pop, slices, unions) -> float:
     """Largest deviation from 1 of the eigenvalues of P_U^{-1/2} E_U P_U^{-1/2}
     over the unions, E = G_emp, P = G_pop; ``G_pop = None`` is the identity
     and whitens nothing. Raises SingularBlockError for the first union, in
-    enumeration order, whose P_U has an eigenvalue at or below EIG_FLOOR.
+    enumeration order, whose P_U has an eigenvalue at or below EIG_FLOOR,
+    before any deviation is computed.
 
-    Once the running maximum exceeds CERT_MARGIN, every stack but the first of
-    each column count is certified: a union is whitened and gets ``eigvalsh``
-    only where Cholesky cannot prove its deviation below that maximum by
-    CERT_MARGIN, and P_U gets ``eigh`` only where Cholesky cannot prove its
-    least eigenvalue above EIG_FLOOR by CERT_MARGIN. The maximum is therefore
-    read off ``eigvalsh`` of the same matrix as in a pass over every union,
-    and the singular union found is the same.
+    The unions come in stacks of at most EIG_CHUNK of one column count. Once
+    the running maximum exceeds CERT_MARGIN, every stack but the first of each
+    column count is certified: a union is whitened by ``eigh`` of P_U and gets
+    ``eigvalsh`` only where Cholesky cannot prove its deviation below that
+    maximum by CERT_MARGIN. The maximum is therefore read off ``eigvalsh`` of
+    the same matrix as in a pass over every union.
     """
+    if G_pop is not None:
+        G_pop = 0.5 * (G_pop + G_pop.T)
+        _refuse_singular(G_pop, slices, unions)
     worst = 0.0
-    singular = None  # (position, union, min eigenvalue) of the first singular union
     width = None  # column count of the previous stack
-    for members, cols in block_column_chunks(slices, unions, CERT_STACK):
+    for _, cols in block_column_chunks(slices, unions):
         E = principal_submatrices(G_emp, cols)
-        P = None
-        if G_pop is not None:
-            P = principal_submatrices(G_pop, cols)
-            P = 0.5 * (P + P.transpose(0, 2, 1))
+        P = None if G_pop is None else principal_submatrices(G_pop, cols)
         # wider unions mostly raise the maximum, so on the first stack of a
         # column count the certificate would fail nearly throughout
-        certify = worst > CERT_MARGIN and E.shape[-1] == width
-        width = E.shape[-1]
-        if P is None:
-            if certify:
-                E = E[~_deviation_below(E, None, worst)]
-            if len(E):
-                worst = max(worst, _max_deviation(np.linalg.eigvalsh(E)))
+        if worst > CERT_MARGIN and E.shape[-1] == width:
+            keep = ~_deviation_below(E, P, worst)
+            E, P = E[keep], (None if P is None else P[keep])
+        width = cols.shape[-1]
+        if not len(E):
             continue
-        if singular is None and not certify:
-            todo = check = np.ones(len(P), dtype=bool)
-        else:
-            # once the call raises, the remaining deviations are not needed
-            todo = (np.zeros(len(P), dtype=bool) if singular is not None
-                    else ~_deviation_below(E, P, worst))
-            check = todo | ~_definite(P, EIG_FLOOR + CERT_MARGIN)
-        rows = np.flatnonzero(check)
-        if not len(rows):
-            continue
-        w, V = np.linalg.eigh(P[rows])
-        bad = np.flatnonzero(w[:, 0] <= EIG_FLOOR)
-        if len(bad):
-            pos, union = members[rows[bad[0]]]
-            if singular is None or pos < singular[0]:
-                singular = (pos, union, w[bad[0], 0])
-        keep = todo[rows]
-        if singular is not None or not keep.any():
-            continue
-        w, V = w[keep], V[keep]
-        W = (V * w[:, None, :] ** -0.5) @ V.transpose(0, 2, 1)
-        worst = max(worst, _max_deviation(np.linalg.eigvalsh(W @ E[todo] @ W)))
-    if singular is not None:
-        _, union, min_eig = singular
-        raise singular_gram_error(f"population Gram on {union}", min_eig)
+        if P is not None:
+            w, V = np.linalg.eigh(P)
+            W = (V * w[:, None, :] ** -0.5) @ V.transpose(0, 2, 1)
+            E = W @ E @ W
+        worst = max(worst, _max_deviation(np.linalg.eigvalsh(E)))
     return worst

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,7 @@ from addsel.diagnostics import event_E_from_grams
 from addsel.errors import SingularBlockError
 from addsel.geometry import EIG_FLOOR, _inv_sqrt, singular_gram_error
 from addsel.simulate import AdditiveModel
-from addsel.unions import CERT_MARGIN, CERT_STACK, _deviation_below, _factorizes, \
+from addsel.unions import CERT_MARGIN, _definite, _deviation_below, _factorizes, \
     union_collection
 
 
@@ -376,8 +377,9 @@ def test_event_E_singular_population_gram_names_first_union():
 
     # 24 two-column blocks, then the duplicated three-column blocks 24, 25:
     # G_emp is G_pop with block 0 scaled, so every union without block 0 has
-    # deviation at rounding level and the second 4-column chunk (the last 20
-    # pairs) is certified whole before (24, 25) is reached in a later chunk
+    # deviation at rounding level and every 4-column chunk after the first
+    # (block 0's 23 pairs all lie in the first) would be certified whole
+    # before (24, 25) is reached in a later chunk
     dims = [2] * 24 + [3, 3]
     slices = block_slices(dims)
     F = rng.standard_normal((120, sum(dims)))
@@ -389,7 +391,8 @@ def test_event_E_singular_population_gram_names_first_union():
     chunks = [members for members, cols in
               block_column_chunks(slices, union_collection(26, 2, ()))
               if cols.shape[1] == 4]
-    assert len(chunks) == 2 and all(0 not in union for _, union in chunks[1])
+    assert len(chunks) == -(-comb(24, 2) // EIG_CHUNK) >= 2
+    assert all(0 not in union for chunk in chunks[1:] for _, union in chunk)
     with pytest.raises(SingularBlockError) as ref:
         _full_pass(G_emp, G_pop, slices, union_collection(26, 2, ()))
     with pytest.raises(SingularBlockError) as got:
@@ -402,12 +405,13 @@ def test_event_E_singular_population_gram_names_first_union():
 @pytest.mark.parametrize("least", [1.001 * EIG_FLOOR, EIG_FLOOR, 0.5 * EIG_FLOOR])
 def test_event_E_population_gram_near_the_floor(least):
     # P_U's least eigenvalue is one diagonal entry of block 66, whose
-    # singleton sits in the second stack of CERT_STACK, after block 0 (scaled
+    # singleton sits in the second stack of EIG_CHUNK, after block 0 (scaled
     # in G_emp) has set the running maximum; G_emp equals G_pop on block 66, so
-    # the deviation certificate clears (66,) and only the EIG_FLOOR test can
-    # send its P_U to eigh: above EIG_FLOOR it passes, at or below it is
-    # refused, both as in the full pass
-    assert 66 >= CERT_STACK
+    # the deviation certificate clears (66,) and only the singular screen,
+    # whose whole-Gram Cholesky fails this close to EIG_FLOOR, sends its P_U to
+    # eigh: above EIG_FLOOR it passes, at or below it is refused, both as in
+    # the full pass
+    assert 66 >= EIG_CHUNK
     dims = [2] * 70
     slices = block_slices(dims)
     G_pop = np.eye(sum(dims))
@@ -426,6 +430,52 @@ def test_event_E_population_gram_near_the_floor(least):
     assert "(66,)" in str(ref.value)
     assert str(got.value) == str(ref.value)
     assert got.value.block == ref.value.block
+
+
+def _whole_gram_certified(G_pop):
+    """Whether one Cholesky clears every P_U sliced from G_pop above EIG_FLOOR."""
+    return bool(_definite(0.5 * (G_pop + G_pop.T)[None], EIG_FLOOR + CERT_MARGIN)[0])
+
+
+@pytest.mark.parametrize("qstar,J0", [(2, ()), (3, ()), (3, (7,)), (2, (0, 7))])
+def test_event_E_whole_gram_singular_but_no_union_singular(qstar, J0):
+    # block 7 spans blocks 0 + 1 + 2, so G_pop is singular and its Cholesky
+    # certificate fails, yet a P_U is singular only when U holds all four:
+    # never at |U| <= 3, and first at (0, 1, 2, 7) once J0 completes the set
+    rng = np.random.default_rng(23)
+    dims = [3] * 8
+    slices = block_slices(dims)
+    F = rng.standard_normal((100, sum(dims)))
+    F[:, slices[7]] = F[:, slices[0]] + F[:, slices[1]] + F[:, slices[2]]
+    G_pop = F.T @ F / 100
+    G_emp = _random_pop_gram(dims, rng)
+    assert not _whole_gram_certified(G_pop)
+    unions = union_collection(8, qstar, J0)
+    if not J0:
+        holds, dev = event_E_from_grams(G_emp, G_pop, slices, qstar, J0, 0.5)
+        assert dev == _full_pass(G_emp, G_pop, slices, unions)
+        assert holds == (dev <= 0.5)
+        return
+    with pytest.raises(SingularBlockError) as ref:
+        _full_pass(G_emp, G_pop, slices, unions)
+    with pytest.raises(SingularBlockError) as got:
+        event_E_from_grams(G_emp, G_pop, slices, qstar, J0, 0.5)
+    assert "(0, 1, 2, 7)" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert got.value.block == ref.value.block
+
+
+def test_certified_population_gram_sends_only_kept_unions_to_eigh(monkeypatch):
+    # the whole copula Gram clears the singular screen, so eigh whitens only
+    # the unions the deviation certificate keeps, each also given eigvalsh
+    G_emp, G_pop, slices = _law_grams("copula", 4, seed=45)
+    assert _whole_gram_certified(G_pop)
+    unions = union_collection(14, 3, ())
+    ref = _full_pass(G_emp, G_pop, slices, unions)
+    eigh = _counting_solver(monkeypatch, "eigh")
+    eigvalsh = _counting_solver(monkeypatch)
+    assert event_E_from_grams(G_emp, G_pop, slices, 3, (), 0.5)[1] == ref
+    assert 0 < eigh[0] == eigvalsh[0] < len(unions) // 2
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -453,7 +503,7 @@ def test_union_chunks_equal_per_union_block_columns():
     # count; the zero-width block drops out of every union it joins
     from addsel.basis import block_column_chunks, block_columns
     slices = block_slices([3, 0, 5, 1, 2, 4, 6, 2, 3, 1, 5, 2, 2, 2, 2, 2, 0, 0])
-    full_chunks = {EIG_CHUNK: 0, CERT_STACK: 0}
+    full_chunks = 0
     for qstar, J0, subsets in ((4, (), None), (3, (1, 6), None),
                                (4, (2,), sample_subsets(16, 4, 300, seed=3)),
                                (1, (), []),
@@ -465,21 +515,19 @@ def test_union_chunks_equal_per_union_block_columns():
             c = block_columns(slices, union)
             if len(c):
                 groups.setdefault(len(c), []).append((pos, union, c))
-        for size in full_chunks:
-            expected = []
-            for d in sorted(groups):
-                for lo in range(0, len(groups[d]), size):
-                    chunk = groups[d][lo:lo + size]
-                    expected.append(([(p, u) for p, u, _ in chunk],
-                                     np.array([c for *_, c in chunk])))
-            got = list(block_column_chunks(slices, unions, size) if size == CERT_STACK
-                       else block_column_chunks(slices, unions))
-            full_chunks[size] += sum(len(members) == size for members, _ in got)
-            assert len(got) == len(expected)
-            for (members, cols), (ref_members, ref_cols) in zip(got, expected):
-                assert members == ref_members
-                assert cols.dtype == ref_cols.dtype and np.array_equal(cols, ref_cols)
-    assert min(full_chunks.values()) > 0
+        expected = []
+        for d in sorted(groups):
+            for lo in range(0, len(groups[d]), EIG_CHUNK):
+                chunk = groups[d][lo:lo + EIG_CHUNK]
+                expected.append(([(p, u) for p, u, _ in chunk],
+                                 np.array([c for *_, c in chunk])))
+        got = list(block_column_chunks(slices, unions))
+        full_chunks += sum(len(members) == EIG_CHUNK for members, _ in got)
+        assert len(got) == len(expected)
+        for (members, cols), (ref_members, ref_cols) in zip(got, expected):
+            assert members == ref_members
+            assert cols.dtype == ref_cols.dtype and np.array_equal(cols, ref_cols)
+    assert full_chunks > 0
     # sets whose blocks all have zero width yield nothing
     assert list(block_column_chunks(slices, [(1,), (16, 17), (1, 16, 17)])) == []
 
@@ -525,16 +573,17 @@ def _law_grams(law, m, seed, q=14, n=90):
     return blocks.full_gram(), G_pop, blocks.slices()
 
 
-def _counting_eigvalsh(monkeypatch):
-    """Patch np.linalg.eigvalsh to count the matrices it is given."""
+def _counting_solver(monkeypatch, name="eigvalsh"):
+    """Patch np.linalg.eigvalsh (or another np.linalg solver) to count the
+    matrices it is given."""
     seen = [0]
-    eigvalsh = np.linalg.eigvalsh
+    solve = getattr(np.linalg, name)
 
     def counting(a):
         seen[0] += len(a)
-        return eigvalsh(a)
+        return solve(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return seen
 
 
@@ -555,7 +604,7 @@ def test_union_walk_equals_full_pass_bitwise(law, m, J0, sampled, monkeypatch):
     subsets = sample_subsets(14, 3, 200, seed=5) if sampled else None
     unions = list(union_collection(14, 3, J0, subsets))
     ref = _full_pass(G_emp, G_pop, slices, unions)
-    seen = _counting_eigvalsh(monkeypatch)
+    seen = _counting_solver(monkeypatch)
     holds, dev = event_E_from_grams(G_emp, G_pop, slices, 3, J0, 0.5, subsets=subsets)
     assert dev == ref and holds == (ref <= 0.5)
     assert seen[0] < len(unions)
@@ -579,7 +628,8 @@ def test_union_walk_maximum_at_a_chunk_edge(law, where):
         subsets = pairs + triples + [(0, 1, 2)]
     chunks = [members for members, _ in block_column_chunks(slices, subsets)]
     if where == "first":
-        assert chunks[2][0][1] == (0, 1, 2)
+        # the 6-column pairs fill the chunks before the first 9-column one
+        assert chunks[-(-len(pairs) // EIG_CHUNK) + 1][0][1] == (0, 1, 2)
     else:
         assert (len(subsets) - 1, (0, 1, 2)) in chunks[-1]
     ref = _full_pass(G_emp, G_pop, slices, subsets)
@@ -593,7 +643,7 @@ def test_diagnose_wide_workload_delta_is_unchanged(monkeypatch):
     from test_benchmark_workloads import ALL
     from addsel.config import parse_config
     from addsel.diagnostics import diagnose
-    seen = _counting_eigvalsh(monkeypatch)
+    seen = _counting_solver(monkeypatch)
     report = diagnose(parse_config(ALL["diagnose-wide"].config_text(seed=7)))
     assert report["delta_qstar"] == 0.5737191613580443
     assert report["event_E_holds"]["max_deviation"] == report["delta_qstar"]

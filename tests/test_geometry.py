@@ -178,6 +178,18 @@ def test_phi_2qstar_uniform_paired():
                         1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("grid_size", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda spec, g: sup_norm_ratio(spec, UniformDensity(), [0], grid_size=g),
+    lambda spec, g: phi_2qstar(spec, UniformDensity(), 1, grid_size=g),
+    lambda spec, g: geometry_report(spec, UniformDensity(), 1, grid_size=g),
+], ids=["sup_norm_ratio", "phi_2qstar", "geometry_report"])
+def test_empty_sup_norm_grid_is_refused(run, grid_size):
+    # a grid with no points has no maximum
+    with pytest.raises(AssumptionError, match="grid_size must be >= 1"):
+        run(BasisSpec.create(3, 5), grid_size)
+
+
 def test_verify_angle_equivalence_random():
     rng = np.random.default_rng(11)
     C = 0.3 * rng.standard_normal((2, 2))
