@@ -86,8 +86,9 @@ def _validate(cfg):
         raise ConfigError("sigma must be nonnegative")
     if not cfg["alpha"] > 0:
         raise ConfigError(f"alpha must be positive, got {cfg['alpha']}")
-    if min(cfg["n_grid"]) < 1:
-        raise ConfigError(f"n_grid entries must be positive, got {cfg['n_grid']}")
+    grid = cfg["n_grid"]
+    if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"n_grid must hold at least 3 increasing positive sizes, got {grid}")
     if cfg["design.kind"] not in ("independent-uniform", "gaussian-copula",
                                   "custom-density"):
         raise ConfigError(f"unknown design.kind {cfg['design.kind']!r}")

@@ -244,20 +244,27 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
     x = midpoint_nodes(g)
     Bs = [basis_matrix(spec.basis_indices(j), x) for j in J]
     sl = block_slices([spec.dim(j) for j in J])
-    # q(x) decomposes into per-axis diagonal terms and pairwise cross terms
-    total = np.zeros((1,) * k)
-    for a in range(k):
-        diag = np.einsum("gi,ij,gj->g", Bs[a], M[sl[a], sl[a]], Bs[a])
-        shape = [1] * k
-        shape[a] = g
-        total = total + diag.reshape(shape)
-        for b in range(a + 1, k):
-            cross = Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T
+    # q(x) decomposes into per-axis diagonal terms and pairwise cross terms,
+    # added in slabs along the first axis so that no slab exceeds GRID_BUDGET
+    # points unless one g^(k-1) face does
+    rows = max(1, GRID_BUDGET // g ** (k - 1))
+    peak = -np.inf
+    for lo in range(0, g, rows):
+        total = np.zeros((1,) * k)
+        for a in range(k):
+            part = slice(lo, lo + rows) if a == 0 else slice(None)
+            diag = np.einsum("gi,ij,gj->g", Bs[a], M[sl[a], sl[a]], Bs[a])[part]
             shape = [1] * k
-            shape[a] = g
-            shape[b] = g
-            total = total + 2.0 * cross.reshape(shape)
-    return float(np.sqrt(total.max() / sl[-1].stop))
+            shape[a] = len(diag)
+            total = total + diag.reshape(shape)
+            for b in range(a + 1, k):
+                cross = (Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T)[part]
+                shape = [1] * k
+                shape[a] = len(cross)
+                shape[b] = g
+                total = total + 2.0 * cross.reshape(shape)
+        peak = max(peak, total.max())
+    return float(np.sqrt(peak / sl[-1].stop))
 
 
 def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=GRID_SIZE) -> float:

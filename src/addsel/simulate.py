@@ -86,12 +86,12 @@ class AdditiveModel:
         if len(theta) == 0:
             return 0.0
         idx = np.arange(2, len(theta) + 2)
-        freqs = idx // 2
         a = self.alpha[j] if len(self.alpha) else 2.0
-        return float(np.sum((2.0 * pi * freqs) ** (2.0 * a) * theta ** 2))
+        return float(np.sum(_sobolev_weights(idx // 2, a) * theta ** 2))
 
 
 def _sobolev_weights(freqs, alpha):
+    """(2 pi k)^(2 alpha) per frequency k: the weights of the Sobolev-ball sum."""
     return (2.0 * pi * np.asarray(freqs, dtype=float)) ** (2.0 * alpha)
 
 
@@ -113,7 +113,7 @@ def gen_model(q, s, alpha, Kbound, kappa1_target, tail_fraction=0.0, seed=None,
     theta = [np.zeros(0) for _ in range(q)]
     for j in J0:
         a, K = float(alpha_v[j]), float(K_v[j])
-        feasible_max = K ** 2 / (2.0 * pi) ** (2.0 * a)
+        feasible_max = K ** 2 / _sobolev_weights(1, a)
         if kappa1_target > feasible_max:
             raise AddselError(
                 f"kappa1_target={kappa1_target} infeasible for alpha={a}, K={K}; "
@@ -128,29 +128,19 @@ def gen_model(q, s, alpha, Kbound, kappa1_target, tail_fraction=0.0, seed=None,
             sob = kappa1_target * float(p @ _sobolev_weights(fr, a))
             if sob <= K ** 2:
                 break
-        coeffs = np.zeros(2 * nfreq)
-        for i, k in enumerate(fr):
-            energy = kappa1_target * p[i]
-            ang = rng.uniform(0.0, 2.0 * pi)
-            coeffs[2 * i] = np.sqrt(energy) * np.cos(ang)      # phi_{2k}
-            coeffs[2 * i + 1] = np.sqrt(energy) * np.sin(ang)  # phi_{2k+1}
-        th = coeffs  # indices: phi_2..phi_{2 nfreq + 1}
+        pairs = list(zip(fr, kappa1_target * p))  # (frequency, energy)
         if tail_fraction > 0.0:
-            tail_freqs = np.arange(TAIL_START, TAIL_START + 4)
-            w_tail = _sobolev_weights(tail_freqs, a)
+            tail_freqs = range(TAIL_START, TAIL_START + 4)
             budget = max(K ** 2 - sob, 0.0)
-            tail_energy = min(tail_fraction * kappa1_target,
-                              0.95 * budget / float(np.mean(w_tail)) * 1.0)
+            tail_energy = min(tail_fraction * kappa1_target, 0.95 * budget
+                              / float(np.mean(_sobolev_weights(tail_freqs, a))))
             if tail_energy > 0.0:
-                per = tail_energy / len(tail_freqs)
-                hi = 2 * tail_freqs[-1] + 1  # largest basis index used
-                full = np.zeros(hi - 1)
-                full[:len(th)] = th
-                for k in tail_freqs:
-                    ang = rng.uniform(0.0, 2.0 * pi)
-                    full[2 * k - 2] = np.sqrt(per) * np.cos(ang)
-                    full[2 * k - 1] = np.sqrt(per) * np.sin(ang)
-                th = full
+                pairs += [(k, tail_energy / len(tail_freqs)) for k in tail_freqs]
+        th = np.zeros(2 * pairs[-1][0])
+        for k, energy in pairs:
+            ang = rng.uniform(0.0, 2.0 * pi)
+            th[2 * k - 2] = np.sqrt(energy) * np.cos(ang)  # phi_{2k}
+            th[2 * k - 1] = np.sqrt(energy) * np.sin(ang)  # phi_{2k+1}
         theta[j] = th
     return AdditiveModel(q=q, J0=J0, theta=theta, sigma=float(sigma),
                          alpha=tuple(map(float, alpha_v)),

@@ -185,10 +185,14 @@ def test_cli_diagnose_refuses_s_above_qstar(tmp_path):
 
 
 @pytest.mark.parametrize("line,key", [("alpha = -0.5", "alpha"),
-                                      ("n_grid = -8,-4,2", "n_grid")])
+                                      ("n_grid = -8,-4,2", "n_grid"),
+                                      ("n_grid = 512,256,1024", "n_grid"),
+                                      ("n_grid = 512,1024", "n_grid")])
 def test_cli_estimate_refuses_nonpositive_alpha_and_grid(tmp_path, capsys, line, key):
     # alpha <= 0 has no truncation level n^(1/(2 alpha + 1)), and a grid point
-    # below 1 has no sample; both used to end in a numpy or Python traceback
+    # below 1 has no sample; both used to end in a numpy or Python traceback.
+    # A grid out of order or under 3 sizes has no fitted slope; it used to
+    # reach rate_experiment and end in an AddselError record with exit code 1
     cfg = _write(tmp_path, SMALL + "n_grid = 100, 200, 400\nreps = 2\n" + line + "\n")
     out = tmp_path / "bad.jsonl"
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2

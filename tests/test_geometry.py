@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -188,6 +190,24 @@ def test_empty_sup_norm_grid_is_refused(run, grid_size):
     # a grid with no points has no maximum
     with pytest.raises(AssumptionError, match="grid_size must be >= 1"):
         run(BasisSpec.create(3, 5), grid_size)
+
+
+def test_sup_norm_grid_summed_in_slabs_is_bitwise(monkeypatch):
+    # a grid above GRID_BUDGET is summed in slabs along its first axis; every
+    # point adds the same terms in the same order, so the maximum is unchanged
+    spec, J, g = BasisSpec.create(3, 4), [0, 1, 2], 64
+    G = population_gram(spec, GaussianCopulaDensity(r=0.3), J)
+    whole = geometry._sup_norm_ratio(spec, G, J, g)
+    monkeypatch.setattr(geometry, "GRID_BUDGET", 5 * g ** 2)  # 13 slabs, the last short
+    tracemalloc.start()
+    try:
+        slabs = geometry._sup_norm_ratio(spec, G, J, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slabs == whole
+    # one float64 array over the whole 64^3 grid alone takes 2 MiB
+    assert peak < 1 << 20
 
 
 def test_verify_angle_equivalence_random():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from addsel import (AddselError, AssumptionError, ConfigError, GaussianCopulaDen
                     TableDensity, UniformDensity, approximation_decay_experiment,
                     density_from_config, gen_model, gen_response, m_lower_bound,
                     run_trials)
+from addsel.simulate import TAIL_START
 
 
 def test_density_from_config_rejects_unknown_kind_and_missing_table():
@@ -68,6 +71,44 @@ def test_gen_model_tail_energy_within_budget():
     assert len(model.theta[j]) > 100
     assert model.sobolev_sum(j) <= 60.0 ** 2 + 1e-6
     assert model.component_norm_sq_uniform(j) >= 1.0
+
+
+def _model_digest(models):
+    h = hashlib.sha256()
+    for model in models:
+        h.update(np.asarray(model.J0, dtype=np.int64).tobytes())
+        for t in model.theta:
+            h.update(np.int64(len(t)).tobytes() + t.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("alpha,K,kappa1,tail,nfreq,digest", [
+    (2.0, 40.0, 1.0, 0.0, 1, "a1bc492ae56707be"),
+    (1.0, 8.5, 1.0, 0.0, 2, "67ff4c15a495c782"),
+    (1.0, 10.0, 1.0, 0.0, 3, "bfd578b61b1be1ae"),
+    (2.0, 40.0, 1.0, 0.3, 1, "9440deaaf6356362"),
+    (1.0, 8.5, 1.0, 0.3, 2, "cfdc1e9326f9c285"),
+    (1.5, 30.0, 0.3, 0.3, 3, "0c90394941db8bda"),
+])
+def test_gen_model_coefficients_pinned(alpha, K, kappa1, tail, nfreq, digest):
+    # one phase per (frequency, energy) pair: the head frequencies 1..nfreq, then
+    # the four tail frequencies from TAIL_START; frequency k sets phi_{2k}, phi_{2k+1}
+    models = [gen_model(q=6, s=3, alpha=alpha, Kbound=K, kappa1_target=kappa1,
+                        tail_fraction=tail, seed=seed) for seed in (0, 1, 2)]
+    assert _model_digest(models) == digest
+    head = list(range(2 * nfreq))
+    tail_idx = list(range(2 * TAIL_START - 2, 2 * TAIL_START + 6)) if tail else []
+    for model in models:
+        for j in model.J0:
+            assert len(model.theta[j]) == (2 * TAIL_START + 6 if tail else 2 * nfreq)
+            assert np.flatnonzero(model.theta[j]).tolist() == head + tail_idx
+
+
+def test_gen_model_infeasible_message_pinned():
+    with pytest.raises(AddselError) as err:
+        gen_model(q=4, s=1, alpha=1.0, Kbound=7.0, kappa1_target=2.0, seed=0)
+    assert str(err.value) == ("kappa1_target=2.0 infeasible for alpha=1.0, K=7.0; "
+                              "maximum achievable is 1.24118")
 
 
 def test_gen_response_noise_scale():
