@@ -10,7 +10,7 @@ import numpy as np
 
 from . import diagnostics, geometry
 from .basis import BasisSpec
-from .config import fixed_m, load_config
+from .config import fixed_m, load_config, validate_config
 from .errors import AddselError, ConfigError
 from .estimate import rate_experiment
 from .simulate import density_from_config, model_from_config, run_trials
@@ -97,6 +97,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+            validate_config(cfg)
         try:
             out = open(args.out, "w") if args.out else sys.stdout
         except OSError as exc:

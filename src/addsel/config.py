@@ -47,7 +47,7 @@ def parse_config(text: str) -> dict:
         if key not in ALLOWED:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         cfg[key] = _convert(key, value, lineno)
-    _validate(cfg)
+    validate_config(cfg)
     return cfg
 
 
@@ -75,13 +75,16 @@ def _convert(key, value, lineno):
         raise ConfigError(f"line {lineno}: bad value for {key}: {value!r} ({exc})") from exc
 
 
-def _validate(cfg):
+def validate_config(cfg):
+    """Raise ConfigError naming the first value of ``cfg`` outside its range."""
     if cfg["q"] < 1 or cfg["n"] < 1:
         raise ConfigError("n and q must be positive")
     if not 0 <= cfg["s"] <= cfg["q"]:
         raise ConfigError(f"need 0 <= s <= q, got s={cfg['s']}, q={cfg['q']}")
     if not 1 <= cfg["qstar"] <= cfg["q"]:
         raise ConfigError(f"need 1 <= qstar <= q, got qstar={cfg['qstar']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
     if cfg["sigma"] < 0:
         raise ConfigError("sigma must be nonnegative")
     if not cfg["alpha"] > 0:

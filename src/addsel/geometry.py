@@ -132,6 +132,14 @@ def rho_from_gram(G, slices, qstar) -> float:
     return rho
 
 
+def _scored_subsets(q, qstar, per_size):
+    """The subsets of size <= 2 qstar that eps and phi score, once the count of all
+    of them passes the budget: (0..r-1) for each size r if ``per_size``, else all."""
+    size = min(2 * qstar, q)
+    check_budget(count_subsets_up_to(q, size), "subset enumeration exceeds budget")
+    return [tuple(range(r)) for r in range(1, size + 1)] if per_size else subsets_up_to(q, size)
+
+
 def epsilons_from_gram(G, slices, qstar):
     """(eps_2qstar, eps_prime_qstar) from eigenvalue extremes of normalized Grams.
 
@@ -141,9 +149,12 @@ def epsilons_from_gram(G, slices, qstar):
     are stacked and solved batched. A single block's normalized Gram is the
     identity, so it contributes 0 to both extremes.
     """
+    return _epsilons_from_gram(G, slices, qstar, False)
+
+
+def _epsilons_from_gram(G, slices, qstar, per_size):
     q = len(slices)
-    size = min(2 * qstar, q)
-    check_budget(count_subsets_up_to(q, size), "subset enumeration exceeds budget")
+    subsets = _scored_subsets(q, qstar, per_size)
     eps_low = eps_high = 0.0
     if q < 2:
         return eps_low, eps_high
@@ -153,7 +164,7 @@ def epsilons_from_gram(G, slices, qstar):
         if sl.stop > sl.start:
             W[sl, sl] = _inv_sqrt(G[sl, sl], f"block {j}")
             nonempty.add(j)
-    sets = (J for J in subsets_up_to(q, size) if len(nonempty.intersection(J)) >= 2)
+    sets = (J for J in subsets if len(nonempty.intersection(J)) >= 2)
     for members, cols in block_column_chunks(slices, sets):
         Ws = principal_submatrices(W, cols)
         w = np.linalg.eigvalsh(Ws @ principal_submatrices(G, cols) @ Ws)
@@ -245,24 +256,24 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
     Bs = [basis_matrix(spec.basis_indices(j), x) for j in J]
     sl = block_slices([spec.dim(j) for j in J])
     # q(x) decomposes into per-axis diagonal terms and pairwise cross terms,
-    # added in slabs along the first axis so that no slab exceeds GRID_BUDGET
-    # points unless one g^(k-1) face does
+    # added in place into one array per slab along the first axis; no slab
+    # exceeds GRID_BUDGET points unless one g^(k-1) face does
     rows = max(1, GRID_BUDGET // g ** (k - 1))
     peak = -np.inf
     for lo in range(0, g, rows):
-        total = np.zeros((1,) * k)
+        total = np.zeros((min(rows, g - lo),) + (g,) * (k - 1))
         for a in range(k):
             part = slice(lo, lo + rows) if a == 0 else slice(None)
             diag = np.einsum("gi,ij,gj->g", Bs[a], M[sl[a], sl[a]], Bs[a])[part]
             shape = [1] * k
             shape[a] = len(diag)
-            total = total + diag.reshape(shape)
+            total += diag.reshape(shape)
             for b in range(a + 1, k):
                 cross = (Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T)[part]
                 shape = [1] * k
                 shape[a] = len(cross)
                 shape[b] = g
-                total = total + 2.0 * cross.reshape(shape)
+                total += 2.0 * cross.reshape(shape)
         peak = max(peak, total.max())
     return float(np.sqrt(peak / sl[-1].stop))
 
@@ -279,15 +290,12 @@ def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=GRID_SIZE) ->
                            _grid_points(len(J), grid_size))
 
 
-def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size):
+def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size, per_size):
     """(phi_2qstar, {|J|: points per axis}) over the blocks of ``slices``, with
     each G_J sliced from the full Gram."""
     best = 0.0
     grid = {}
-    q = len(slices)
-    size = min(2 * qstar, q)
-    check_budget(count_subsets_up_to(q, size), "subset enumeration exceeds budget")
-    for J in subsets_up_to(q, size):
+    for J in _scored_subsets(len(slices), qstar, per_size):
         if spec.d_J(J) == 0:
             continue
         grid[len(J)] = g = _grid_points(len(J), grid_size)
@@ -305,19 +313,19 @@ class PopulationGeometry:
     identity. rho and eps are then exact zeros, returned without a Gram or an
     enumeration, and event E's normalized Gram is the empirical Gram itself.
 
-    ``k``: the suprema range over the first k blocks. Under an exchangeable
-    law with one m_j for all blocks, G_J depends only on how the blocks of J
-    interleave. Every subset of size <= 2 qstar, and every disjoint pair of
-    size <= qstar, occurs with the same Gram among the first 2 qstar blocks,
-    so k = min(q, 2 qstar) gives the suprema over all q bit for bit.
-    Otherwise k = q.
+    ``k`` and ``per_size``: under an exchangeable law with one m_j for all
+    blocks, G_J depends only on |J|, and a disjoint pair's Gram only on how its
+    two subsets interleave. Every such pair of size <= qstar occurs among the
+    first 2 qstar blocks, so the suprema range over k = min(q, 2 qstar) blocks
+    bit for bit, and eps and phi score one subset per size. Otherwise k = q
+    and every subset is scored.
     """
 
     def __init__(self, spec: BasisSpec, density: Density, qstar: int):
         self.spec, self.density, self.qstar = spec, density, qstar
         self.identity = density.independent and density.uniform_marginals
-        equal_m = density.exchangeable and len(set(spec.m)) == 1
-        self.k = min(spec.q, 2 * qstar) if equal_m else spec.q
+        self.per_size = density.exchangeable and len(set(spec.m)) == 1
+        self.k = min(spec.q, 2 * qstar) if self.per_size else spec.q
 
     @cached_property
     def gram(self):
@@ -335,11 +343,12 @@ class PopulationGeometry:
         """(eps_2qstar, eps_prime_qstar)."""
         if self.identity:
             return 0.0, 0.0
-        return epsilons_from_gram(*self._leading(), self.qstar)
+        return _epsilons_from_gram(*self._leading(), self.qstar, self.per_size)
 
     def phi(self, grid_size=GRID_SIZE):
         """(phi_2qstar, {|J|: points per axis of its grid})."""
-        return _phi_from_gram(self.spec, *self._leading(), self.qstar, grid_size)
+        return _phi_from_gram(self.spec, *self._leading(), self.qstar, grid_size,
+                              self.per_size)
 
 
 def phi_2qstar(spec: BasisSpec, density: Density, qstar: int, grid_size=GRID_SIZE) -> float:

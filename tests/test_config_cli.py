@@ -202,6 +202,21 @@ def test_cli_estimate_refuses_nonpositive_alpha_and_grid(tmp_path, capsys, line,
     assert key in record["error"]["message"]
 
 
+@pytest.mark.parametrize("command,text,flags", [
+    ("geometry", SMALL + "seed = -1\n", []),
+    ("simulate", SMALL, ["--seed", "-1"]),
+], ids=["config", "flag"])
+def test_cli_refuses_negative_seed(tmp_path, capsys, command, text, flags):
+    # numpy's seeding refuses a negative seed with a ValueError traceback, after
+    # the manifest was written; the --seed override used to skip validation
+    out = tmp_path / "neg.jsonl"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)] + flags) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ConfigError"
+    assert "seed" in record["error"]["message"]
+
+
 def test_cli_diagnose_refuses_zero_delta_before_any_work(tmp_path, monkeypatch):
     # the c' condition of the bound needs delta > 0; the RIP pass used to run
     # first and the run then failed with exit code 1

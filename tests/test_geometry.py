@@ -210,6 +210,21 @@ def test_sup_norm_grid_summed_in_slabs_is_bitwise(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_sup_norm_slab_is_summed_in_place():
+    # one slab holds the whole 64^3 grid; its terms are added into one array,
+    # so no second grid-sized array is alive at any point of the sum
+    spec, J, g = BasisSpec.create(3, 4), [0, 1, 2], 64
+    G = population_gram(spec, GaussianCopulaDensity(r=0.3), J)
+    assert g ** len(J) <= geometry.GRID_BUDGET
+    tracemalloc.start()
+    try:
+        geometry._sup_norm_ratio(spec, G, J, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * g ** len(J)
+
+
 def test_verify_angle_equivalence_random():
     rng = np.random.default_rng(11)
     C = 0.3 * rng.standard_normal((2, 2))
@@ -278,6 +293,73 @@ def test_full_enumeration_when_not_exchangeable(density, m):
     # the last covariate matters here: a spec cut to the first two would miss it
     cut = _full_enumeration(BasisSpec(q=2, m=spec.m[:2]), density, 1, 64)
     assert abs(cut[0] - full[0]) > 1e-3 or abs(cut[3] - full[3]) > 1e-3
+
+
+def _phi_every_subset(spec, G, slices, qstar, grid_size):
+    """(phi, phi_grid) with one sup-norm grid per subset of size <= 2 qstar of all blocks."""
+    best, grid = 0.0, {}
+    for J in subsets_up_to(len(slices), min(2 * qstar, len(slices))):
+        grid[len(J)] = g = geometry._grid_points(len(J), grid_size)
+        c = block_columns(slices, J)
+        best = max(best, geometry._sup_norm_ratio(spec, G[np.ix_(c, c)], list(J), g))
+    return best, grid
+
+
+@pytest.mark.parametrize("law", ["copula-0.1", "copula0.3", "copula0.7", "uniform",
+                                 "custom-density"])
+@pytest.mark.parametrize("q,qstar,m", [(6, 2, 4), (8, 2, 3), (5, 1, 6), (3, 2, 5)])
+def test_per_size_walk_equals_every_subset(law, q, qstar, m):
+    # [DERIVED] under an exchangeable law with equal m every diagonal block is
+    # one array and every cross block above the diagonal another, so G_J is
+    # the same array for every J of one size and (0..r-1) stands for size r;
+    # (3, 2, 5) has q <= 2 qstar
+    density = {"copula-0.1": GaussianCopulaDensity(r=-0.1),
+               "copula0.3": GaussianCopulaDensity(r=0.3),
+               "copula0.7": GaussianCopulaDensity(r=0.7), "uniform": UniformDensity(),
+               "custom-density": density_from_config({"design.kind": "custom-density",
+                                                      "design.table": _TILT, "q": q})}[law]
+    spec = BasisSpec.create(q, m)
+    geo = PopulationGeometry(spec, density, qstar)
+    assert geo.per_size
+    G, slices = geo.gram
+    assert geo.phi(16) == _phi_every_subset(spec, G, slices, qstar, 16)
+    eps = geometry._epsilons_from_gram(G, slices[:geo.k], qstar, geo.per_size)
+    assert eps == epsilons_from_gram(G, slices, qstar)
+
+
+@pytest.mark.parametrize("density,m,per_size", [
+    (GaussianCopulaDensity(r=0.3), 4, True),
+    (TableDensity(tables={4: _TILT}), 4, False),
+    (GaussianCopulaDensity(r=0.5), (3, 3, 3, 3, 5), False),
+], ids=["copula", "table-on-last", "unequal-m"])
+def test_sup_norm_grids_scored_per_size_or_per_subset(monkeypatch, density, m, per_size):
+    # q = 5, qstar = 2: one grid per size 1..4 under the per-size walk, else
+    # one per subset, C(5,1) + ... + C(5,4) = 30; eps likewise stacks one set
+    # per size 2..4, else 25 sets
+    scored, stacked = [], []
+    score, chunks = geometry._sup_norm_ratio, geometry.block_column_chunks
+
+    def counting_score(spec, G, J, g):
+        scored.append(tuple(J))
+        return score(spec, G, J, g)
+
+    def counting_chunks(slices, sets):
+        sets = list(sets)
+        stacked.extend(sets)
+        return chunks(slices, sets)
+
+    monkeypatch.setattr(geometry, "_sup_norm_ratio", counting_score)
+    monkeypatch.setattr(geometry, "block_column_chunks", counting_chunks)
+    geo = PopulationGeometry(BasisSpec.create(5, m), density, 2)
+    assert geo.per_size == per_size
+    geo.phi(16)
+    geo.epsilons()
+    if per_size:
+        assert scored == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
+        assert stacked == scored[1:]
+    else:
+        assert scored == list(subsets_up_to(5, 4)) and len(scored) == 30
+        assert stacked == scored[5:]
 
 
 def test_budget_counts_representative_subsets(monkeypatch):

@@ -12,7 +12,7 @@ from addsel.simulate import TAIL_START
 
 
 def test_density_from_config_rejects_unknown_kind_and_missing_table():
-    # raw library dicts skip config._validate; the law is checked where it is built
+    # raw library dicts skip config.validate_config; the law is checked where it is built
     with pytest.raises(ConfigError, match="unknown design kind 'mystery'"):
         density_from_config({"design.kind": "mystery", "q": 2})
     with pytest.raises(ConfigError, match="requires a density table"):
