@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def cmd_geometry(cfg, emit):
     spec = BasisSpec.create(cfg["q"], fixed_m(cfg, "geometry"))
     report = geometry.geometry_report(spec, density_from_config(cfg), cfg["qstar"],
                                       model=model_from_config(cfg))
-    emit(report.to_dict())
+    emit(asdict(report))
 
 
 def cmd_simulate(cfg, emit):

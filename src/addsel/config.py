@@ -89,6 +89,10 @@ def validate_config(cfg):
         raise ConfigError("sigma must be nonnegative")
     if not cfg["alpha"] > 0:
         raise ConfigError(f"alpha must be positive, got {cfg['alpha']}")
+    if not cfg["K"] > 0:
+        raise ConfigError(f"K must be positive, got {cfg['K']}")
+    if not cfg["kappa1"] >= 0:
+        raise ConfigError(f"kappa1 must be nonnegative, got {cfg['kappa1']}")
     grid = cfg["n_grid"]
     if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"n_grid must hold at least 3 increasing positive sizes, got {grid}")

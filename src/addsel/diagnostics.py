@@ -150,6 +150,16 @@ def check_cprime(delta: float, cprime: float) -> bool:
     return lhs >= 0.5
 
 
+def _check_sizes(rho, s, qstar, d_l):
+    """AssumptionError unless 0 <= rho < 1, s <= qstar and d_l covers sizes 1..qstar."""
+    if not 0.0 <= rho < 1.0:
+        raise AssumptionError(f"rho must lie in [0,1), got {rho}")
+    if s > qstar:
+        raise AssumptionError(f"need s <= qstar, got s={s}, qstar={qstar}")
+    if len(d_l) < qstar:
+        raise AssumptionError(f"d_l must cover sizes 1..{qstar}")
+
+
 def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
                           cprime, p_event_c=0.0):
     """(total, terms): upper bound on P(J0 not within the selected set), by term.
@@ -163,14 +173,9 @@ def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
     """
     kappa_l = np.asarray(kappa_l, dtype=float)
     d_l = np.asarray(d_l, dtype=float)
-    if not 0.0 <= rho < 1.0:
-        raise AssumptionError(f"rho must lie in [0,1), got {rho}")
+    _check_sizes(rho, s, qstar, d_l)
     if np.any(kappa_l[:s] <= 0.0):
         raise AssumptionError("all kappa_l must be strictly positive")
-    if s > qstar:
-        raise AssumptionError(f"need s <= qstar, got s={s}, qstar={qstar}")
-    if len(d_l) < qstar:
-        raise AssumptionError(f"d_l must cover sizes 1..{qstar}")
     if not check_cprime(delta, cprime):
         raise AssumptionError(
             f"(delta={delta}, cprime={cprime}) violates the c' feasibility condition"
@@ -209,21 +214,24 @@ def corollary_conditions(n, sigma2, rho, kappa, kappa1, kappa_l, eps_s, d_l,
     """Named sample-size conditions from the consistency corollaries, with c3 = 1."""
     d_l = np.asarray(d_l, dtype=float)
     kappa_l = np.asarray(kappa_l, dtype=float)
+    if s < 1:
+        raise AssumptionError(f"need s >= 1, got s={s}")
+    _check_sizes(rho, s, qstar, d_l)
     one_mr = 1.0 - rho * rho
     d_qstar = d_l[qstar - 1]
     d_s = d_l[s - 1]
     d_1 = d_l[0]
     out = {}
-    out["corollary2"] = max(
+    out["corollary2"] = bool(max(
         sigma2 * sqrt(qstar * d_qstar * log(np.e * q / qstar)) / (one_mr * kappa),
         sigma2 * qstar * log(np.e * q / qstar) / (one_mr * kappa),
         d_qstar * log(q),
-    ) <= n
-    out["corollary3"] = max(
+    ) <= n)
+    out["corollary3"] = bool(max(
         sigma2 * sqrt(d_1 * log(q)) / (one_mr * (1.0 - eps_s) * kappa1),
         sigma2 * log(q) / (one_mr * (1.0 - eps_s) * kappa1),
         d_s * log(q),
-    ) <= n
+    ) <= n)
     cond14 = True
     for l in range(1, s + 1):
         cond14 &= max(
@@ -232,12 +240,12 @@ def corollary_conditions(n, sigma2, rho, kappa, kappa1, kappa_l, eps_s, d_l,
             d_s * log(q),
         ) <= n
     out["condition14"] = bool(cond14)
-    out["nonparametric18"] = max(
+    out["nonparametric18"] = bool(max(
         sigma2 * s ** (1.0 / (4.0 * alpha)) * sqrt(log(q))
         / kappa1 ** ((4.0 * alpha + 1.0) / (4.0 * alpha)),
         sigma2 * log(q) / kappa1,
         s ** ((2.0 * alpha + 1.0) / (2.0 * alpha)) * log(q) ** 4 / kappa1 ** (1.0 / (2.0 * alpha)),
-    ) <= n
+    ) <= n)
     return out
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, comb, log2
 
@@ -39,11 +39,6 @@ class GeometryReport:
     phi_2qstar: float = float("nan")
     #: |J| -> points per axis of the sup-norm grid phi_2qstar used
     phi_grid: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = asdict(self)
-        out["kappa_l"] = None if self.kappa_l is None else list(map(float, self.kappa_l))
-        return out
 
 
 def singular_gram_error(label, min_eigenvalue) -> SingularBlockError:
@@ -132,14 +127,6 @@ def rho_from_gram(G, slices, qstar) -> float:
     return rho
 
 
-def _scored_subsets(q, qstar, per_size):
-    """The subsets of size <= 2 qstar that eps and phi score, once the count of all
-    of them passes the budget: (0..r-1) for each size r if ``per_size``, else all."""
-    size = min(2 * qstar, q)
-    check_budget(count_subsets_up_to(q, size), "subset enumeration exceeds budget")
-    return [tuple(range(r)) for r in range(1, size + 1)] if per_size else subsets_up_to(q, size)
-
-
 def epsilons_from_gram(G, slices, qstar):
     """(eps_2qstar, eps_prime_qstar) from eigenvalue extremes of normalized Grams.
 
@@ -149,12 +136,9 @@ def epsilons_from_gram(G, slices, qstar):
     are stacked and solved batched. A single block's normalized Gram is the
     identity, so it contributes 0 to both extremes.
     """
-    return _epsilons_from_gram(G, slices, qstar, False)
-
-
-def _epsilons_from_gram(G, slices, qstar, per_size):
     q = len(slices)
-    subsets = _scored_subsets(q, qstar, per_size)
+    size = min(2 * qstar, q)
+    check_budget(count_subsets_up_to(q, size), "subset enumeration exceeds budget")
     eps_low = eps_high = 0.0
     if q < 2:
         return eps_low, eps_high
@@ -164,7 +148,7 @@ def _epsilons_from_gram(G, slices, qstar, per_size):
         if sl.stop > sl.start:
             W[sl, sl] = _inv_sqrt(G[sl, sl], f"block {j}")
             nonempty.add(j)
-    sets = (J for J in subsets if len(nonempty.intersection(J)) >= 2)
+    sets = (J for J in subsets_up_to(q, size) if len(nonempty.intersection(J)) >= 2)
     for members, cols in block_column_chunks(slices, sets):
         Ws = principal_submatrices(W, cols)
         w = np.linalg.eigvalsh(Ws @ principal_submatrices(G, cols) @ Ws)
@@ -290,20 +274,6 @@ def sup_norm_ratio(spec: BasisSpec, density: Density, J, grid_size=GRID_SIZE) ->
                            _grid_points(len(J), grid_size))
 
 
-def _phi_from_gram(spec: BasisSpec, G, slices, qstar, grid_size, per_size):
-    """(phi_2qstar, {|J|: points per axis}) over the blocks of ``slices``, with
-    each G_J sliced from the full Gram."""
-    best = 0.0
-    grid = {}
-    for J in _scored_subsets(len(slices), qstar, per_size):
-        if spec.d_J(J) == 0:
-            continue
-        grid[len(J)] = g = _grid_points(len(J), grid_size)
-        c = block_columns(slices, J)
-        best = max(best, _sup_norm_ratio(spec, G[np.ix_(c, c)], list(J), g))
-    return best, grid
-
-
 class PopulationGeometry:
     """The population Gram of V_1..V_q under one covariate law, and rho, eps
     and phi read off it.
@@ -317,8 +287,8 @@ class PopulationGeometry:
     blocks, G_J depends only on |J|, and a disjoint pair's Gram only on how its
     two subsets interleave. Every such pair of size <= qstar occurs among the
     first 2 qstar blocks, so the suprema range over k = min(q, 2 qstar) blocks
-    bit for bit, and eps and phi score one subset per size. Otherwise k = q
-    and every subset is scored.
+    bit for bit, and phi scores one subset per size. Otherwise k = q and phi
+    scores every subset; rho and eps walk every subset of the k blocks.
     """
 
     def __init__(self, spec: BasisSpec, density: Density, qstar: int):
@@ -343,12 +313,24 @@ class PopulationGeometry:
         """(eps_2qstar, eps_prime_qstar)."""
         if self.identity:
             return 0.0, 0.0
-        return _epsilons_from_gram(*self._leading(), self.qstar, self.per_size)
+        return epsilons_from_gram(*self._leading(), self.qstar)
 
     def phi(self, grid_size=GRID_SIZE):
-        """(phi_2qstar, {|J|: points per axis of its grid})."""
-        return _phi_from_gram(self.spec, *self._leading(), self.qstar, grid_size,
-                              self.per_size)
+        """(phi_2qstar, {|J|: points per axis of its grid}); under ``per_size``
+        (0..r-1) stands for every subset of size r, and the budget counts them all."""
+        G, slices = self._leading()
+        size = min(2 * self.qstar, self.k)
+        check_budget(count_subsets_up_to(self.k, size), "subset enumeration exceeds budget")
+        subsets = ([tuple(range(r)) for r in range(1, size + 1)] if self.per_size
+                   else subsets_up_to(self.k, size))
+        best, grid = 0.0, {}
+        for J in subsets:
+            if self.spec.d_J(J) == 0:
+                continue
+            grid[len(J)] = g = _grid_points(len(J), grid_size)
+            c = block_columns(slices, J)
+            best = max(best, _sup_norm_ratio(self.spec, G[np.ix_(c, c)], list(J), g))
+        return best, grid
 
 
 def phi_2qstar(spec: BasisSpec, density: Density, qstar: int, grid_size=GRID_SIZE) -> float:

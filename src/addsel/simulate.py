@@ -109,6 +109,10 @@ def gen_model(q, s, alpha, Kbound, kappa1_target, tail_fraction=0.0, seed=None,
         rng = np.random.default_rng(seed)
     alpha_v = np.broadcast_to(np.asarray(alpha, dtype=float), (q,))
     K_v = np.broadcast_to(np.asarray(Kbound, dtype=float), (q,))
+    if not np.all(K_v > 0):
+        raise AddselError(f"Kbound must be positive, got {Kbound}")
+    if not kappa1_target >= 0:
+        raise AddselError(f"kappa1_target must be nonnegative, got {kappa1_target}")
     J0 = tuple(int(j) for j in sorted(rng.choice(q, size=s, replace=False))) if s else ()
     theta = [np.zeros(0) for _ in range(q)]
     for j in J0:

@@ -202,6 +202,20 @@ def test_cli_estimate_refuses_nonpositive_alpha_and_grid(tmp_path, capsys, line,
     assert key in record["error"]["message"]
 
 
+@pytest.mark.parametrize("line,key", [("K = -40", "K"), ("kappa1 = -1", "kappa1")])
+def test_cli_refuses_nonpositive_K_and_negative_kappa1(tmp_path, capsys, line, key):
+    # K = -40 used to run as K = 40; kappa1 = -1 gave NaN coefficients, a
+    # geometry report with "kappa": null and exit code 0
+    out = tmp_path / "bad.jsonl"
+    assert main(["geometry", "--config", _write(tmp_path, SMALL + line + "\n"),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ConfigError"
+    assert record["error"]["message"].startswith(key + " must be")
+    assert parse_config("kappa1 = 0\n")["kappa1"] == 0.0
+
+
 @pytest.mark.parametrize("command,text,flags", [
     ("geometry", SMALL + "seed = -1\n", []),
     ("simulate", SMALL, ["--seed", "-1"]),

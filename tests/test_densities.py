@@ -54,6 +54,12 @@ def test_copula_sample_correlation_sign():
     npt.assert_allclose(X.mean(axis=0), 0.5, atol=0.03)
 
 
+def test_copula_at_zero_correlation_samples_as_uniform():
+    # r = 0 is the independent uniform law, drawn by the same call
+    X = GaussianCopulaDensity(r=0.0).sample(50, 3, np.random.default_rng(5))
+    npt.assert_array_equal(X, UniformDensity().sample(50, 3, np.random.default_rng(5)))
+
+
 def test_copula_rejects_bad_r():
     with pytest.raises(ConfigError):
         GaussianCopulaDensity(r=1.0)

@@ -303,6 +303,27 @@ def test_corollary_conditions_scale_with_n():
     assert set(big) == {"corollary2", "corollary3", "condition14", "nonparametric18"}
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"s": 0, "kappa_l": []}, "s >= 1"),
+    ({"rho": 1.2}, "rho must lie in"),
+    ({"s": 3, "kappa_l": [1.0, 2.0, 3.0]}, "s <= qstar"),
+    ({"d_l": [4]}, "d_l must cover"),
+], ids=["s0", "rho", "s-above-qstar", "short-d_l"])
+def test_corollary_conditions_refusals(change, message):
+    # s = 0 and rho = 1.2 used to return all True, s > len(d_l) an IndexError
+    kw = dict(n=1000, sigma2=1.0, rho=0.0, kappa=1.0, kappa1=1.0, kappa_l=[1.0, 2.0],
+              eps_s=0.0, d_l=[4, 8], s=2, qstar=2, q=16, alpha=2.0)
+    with pytest.raises(AssumptionError, match=message):
+        corollary_conditions(**{**kw, **change})
+
+
+def test_corollary_conditions_returns_python_bools():
+    out = corollary_conditions(n=10 ** 6, sigma2=1.0, rho=0.0, kappa=1.0, kappa1=1.0,
+                               kappa_l=[1.0, 2.0], eps_s=0.0, d_l=[4, 8], s=2, qstar=2,
+                               q=16, alpha=2.0)
+    assert [type(v) for v in out.values()] == [bool] * 4
+
+
 def _rip_per_union(blocks, qstar, J0=()):
     """RIP constant from one Gram and one eigvalsh per union."""
     delta = 0.0

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -235,7 +236,7 @@ def test_geometry_report_roundtrip():
     spec = BasisSpec.create(3, 4)
     model = _model(3, (0, 1), (1.0, 1.0))
     rep = geometry_report(spec, UniformDensity(), 1, model=model, grid_size=64)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["qstar"] == 1
     npt.assert_allclose(d["kappa"], 1.0, atol=1e-8)
     assert d["rho_qstar"] < 1e-10
@@ -323,7 +324,7 @@ def test_per_size_walk_equals_every_subset(law, q, qstar, m):
     assert geo.per_size
     G, slices = geo.gram
     assert geo.phi(16) == _phi_every_subset(spec, G, slices, qstar, 16)
-    eps = geometry._epsilons_from_gram(G, slices[:geo.k], qstar, geo.per_size)
+    eps = epsilons_from_gram(G, slices[:geo.k], qstar)
     assert eps == epsilons_from_gram(G, slices, qstar)
 
 
@@ -334,8 +335,8 @@ def test_per_size_walk_equals_every_subset(law, q, qstar, m):
 ], ids=["copula", "table-on-last", "unequal-m"])
 def test_sup_norm_grids_scored_per_size_or_per_subset(monkeypatch, density, m, per_size):
     # q = 5, qstar = 2: one grid per size 1..4 under the per-size walk, else
-    # one per subset, C(5,1) + ... + C(5,4) = 30; eps likewise stacks one set
-    # per size 2..4, else 25 sets
+    # one per subset, C(5,1) + ... + C(5,4) = 30; eps stacks every set of
+    # size 2..4 of the k leading blocks, 11 sets over k = 4, else 25 sets
     scored, stacked = [], []
     score, chunks = geometry._sup_norm_ratio, geometry.block_column_chunks
 
@@ -356,10 +357,25 @@ def test_sup_norm_grids_scored_per_size_or_per_subset(monkeypatch, density, m, p
     geo.epsilons()
     if per_size:
         assert scored == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
-        assert stacked == scored[1:]
+        assert stacked == [J for J in subsets_up_to(4, 4) if len(J) >= 2]
     else:
         assert scored == list(subsets_up_to(5, 4)) and len(scored) == 30
         assert stacked == scored[5:]
+
+
+def test_geometry_report_reads_eps_through_one_public_call(monkeypatch):
+    # eps walks every subset of the k leading blocks through the one public
+    # function, so a wrapper around it by name sees the call
+    calls = []
+    eps = geometry.epsilons_from_gram
+
+    def counting_eps(G, slices, qstar):
+        calls.append(len(slices))
+        return eps(G, slices, qstar)
+
+    monkeypatch.setattr(geometry, "epsilons_from_gram", counting_eps)
+    geometry_report(BasisSpec.create(8, 5), GaussianCopulaDensity(r=0.3), 2, grid_size=16)
+    assert calls == [4]
 
 
 def test_budget_counts_representative_subsets(monkeypatch):
@@ -434,7 +450,7 @@ def test_geometry_report_phi_grid():
     spec = BasisSpec.create(4, 3)
     rep = geometry_report(spec, GaussianCopulaDensity(r=0.3), 2)
     assert rep.phi_grid == {1: 512, 2: 512, 3: 128, 4: 32}
-    assert rep.to_dict()["phi_grid"] == rep.phi_grid
+    assert asdict(rep)["phi_grid"] == rep.phi_grid
     assert geometry_report(spec, UniformDensity(), 1, grid_size=64).phi_grid == {1: 64, 2: 64}
 
 

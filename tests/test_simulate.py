@@ -63,6 +63,20 @@ def test_gen_model_infeasible_target_reports_maximum():
         gen_model(q=4, s=1, alpha=1.0, Kbound=7.0, kappa1_target=2.0, seed=0)
 
 
+@pytest.mark.parametrize("K,kappa1,key", [(-40.0, 1.0, "Kbound"), (0.0, 1.0, "Kbound"),
+                                          (40.0, -1.0, "kappa1_target")])
+def test_gen_model_refuses_nonpositive_K_and_negative_kappa1(K, kappa1, key):
+    # K = -40 used to run as K = 40, and kappa1 = -1 gave NaN coefficients
+    # through the square root of a negative energy
+    with pytest.raises(AddselError, match=key):
+        gen_model(q=4, s=2, alpha=2.0, Kbound=K, kappa1_target=kappa1, seed=0)
+
+
+def test_gen_model_allows_zero_kappa1():
+    model = gen_model(q=4, s=2, alpha=2.0, Kbound=40.0, kappa1_target=0.0, seed=0)
+    assert all(not np.any(model.theta[j]) for j in model.J0)
+
+
 def test_gen_model_tail_energy_within_budget():
     model = gen_model(q=4, s=2, alpha=2.0, Kbound=60.0, kappa1_target=1.0,
                       tail_fraction=0.05, seed=1)
