@@ -75,9 +75,7 @@ def min_angle_cos(G11, G22, G12) -> float:
     return _whitened_cos(_inv_sqrt(G11, "G11"), G12, _inv_sqrt(G22, "G22"))
 
 
-def subsets_up_to(q, size, include_empty=False):
-    if include_empty:
-        yield ()
+def subsets_up_to(q, size):
     for r in range(1, size + 1):
         yield from itertools.combinations(range(q), r)
 

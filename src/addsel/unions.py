@@ -3,11 +3,12 @@ largest deviation from 1 of the eigenvalues of their normalized Grams."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .basis import block_column_chunks, principal_submatrices
-from .geometry import EIG_FLOOR, check_budget, count_subsets_up_to, singular_gram_error, \
-    subsets_up_to
+from .geometry import EIG_FLOOR, check_budget, count_subsets_up_to, singular_gram_error
 
 #: margin by which Cholesky must clear a union's deviation below the running
 #: maximum, or the population Gram's least eigenvalue above EIG_FLOOR, before
@@ -18,16 +19,27 @@ CERT_MARGIN = 1e-10
 
 def union_collection(q, qstar, J0, subsets=None):
     """The nonempty unions J cup J0 over all candidate J, each once, in order
-    of first occurrence."""
-    J0 = set(J0)
-    if subsets is None:
-        check_budget(count_subsets_up_to(q, qstar, include_empty=True),
-                     "{count} candidate subsets exceed the budget {budget}; "
-                     "pass an explicit (sampled) subset collection")
-        subsets = subsets_up_to(q, qstar, include_empty=True)
-    unions = dict.fromkeys(tuple(sorted(J0.union(J))) for J in subsets)
-    unions.pop((), None)
-    return list(unions)
+    of first occurrence.
+
+    Over every J with |J| <= qstar that order is known without a pass to
+    dedupe: J0 itself (J = ()), then K cup J0 for each nonempty K outside J0
+    with |K| <= qstar, in ``itertools.combinations`` order by size (J = K is
+    the first J that gives it).
+    """
+    if subsets is not None:
+        J0 = set(J0)
+        unions = dict.fromkeys(tuple(sorted(J0.union(J))) for J in subsets)
+        unions.pop((), None)
+        return list(unions)
+    check_budget(count_subsets_up_to(q, qstar, include_empty=True),
+                 "{count} candidate subsets exceed the budget {budget}; "
+                 "pass an explicit (sampled) subset collection")
+    J0 = tuple(sorted(set(J0)))
+    rest = [j for j in range(q) if j not in J0]
+    unions = [J0] if J0 else []
+    for r in range(1, qstar + 1):
+        unions += (tuple(sorted(K + J0)) for K in itertools.combinations(rest, r))
+    return unions
 
 
 def _max_deviation(w):

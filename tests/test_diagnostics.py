@@ -92,6 +92,46 @@ def test_union_collection_equals_seen_set_loop(J0, sampled):
     assert len(set(got)) == len(got) and () not in got
 
 
+def _dict_unions(q, qstar, J0, subsets=None):
+    """union_collection as one dict.fromkeys pass over every candidate J, for
+    reference."""
+    if subsets is None:
+        subsets = itertools.chain([()], *(itertools.combinations(range(q), r)
+                                          for r in range(1, qstar + 1)))
+    unions = dict.fromkeys(tuple(sorted(set(J0) | set(J))) for J in subsets)
+    unions.pop((), None)
+    return list(unions)
+
+
+@pytest.mark.parametrize("q,qstar,J0", [
+    (40, 3, ()), (40, 3, (5,)), (40, 3, (17, 3)), (40, 3, (0, 39)), (40, 3, (1, 2, 3)),
+    (6, 6, (2, 4)), (5, 2, (0, 1, 2, 3, 4)), (4, 0, (1,)), (4, 0, ()),
+])
+def test_union_collection_closed_form_equals_dict_pass(q, qstar, J0):
+    assert union_collection(q, qstar, J0) == _dict_unions(q, qstar, J0)
+
+
+def test_union_collection_closed_form_names_the_same_singular_union():
+    # blocks 7 = 6 and 1 = 0, so a union holding either pair is singular; with
+    # J0 = (6,), (6, 7) comes at |K| = 1, before (0, 1, 6) at |K| = 2,
+    # although it sorts after it
+    rng = np.random.default_rng(24)
+    dims = [2] * 8
+    slices = block_slices(dims)
+    F = rng.standard_normal((60, sum(dims)))
+    F[:, slices[7]] = F[:, slices[6]]
+    F[:, slices[1]] = F[:, slices[0]]
+    G_pop = F.T @ F / 60
+    G_emp = _random_pop_gram(dims, rng)
+    with pytest.raises(SingularBlockError) as ref:
+        _full_pass(G_emp, G_pop, slices, _dict_unions(8, 2, (6,)))
+    with pytest.raises(SingularBlockError) as got:
+        event_E_from_grams(G_emp, G_pop, slices, 2, (6,), 0.5)
+    assert "(6, 7)" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert got.value.block == ref.value.block
+
+
 def _sample_subsets_numpy(q, qstar, n_samples, seed=0):
     """sample_subsets with the numpy integers of rng.choice kept, for reference."""
     rng = np.random.default_rng(seed)
@@ -277,6 +317,12 @@ def test_selection_error_bound_refuses_s_above_qstar():
         selection_error_bound(4000, 0.01, 0.0, [1.0, 2.0, 3.0], [4, 8], 3, 2, 6, 0.5, 0.001)
 
 
+def test_selection_error_bound_refuses_short_kappa_l():
+    # kappa_l[l - 1] used to raise IndexError at l = 2
+    with pytest.raises(AssumptionError, match="kappa_l must cover sizes 1..2"):
+        selection_error_bound(4000, 0.01, 0.0, [1.0], [4, 8], 2, 2, 6, 0.5, 0.001)
+
+
 def test_diagnose_refuses_s_above_qstar_before_any_work(monkeypatch):
     # no candidate J with |J| <= qstar covers J0, so the bound has no meaning;
     # it used to read 1.6e-28 here while simulate recovered J0 in no trial
@@ -308,9 +354,19 @@ def test_corollary_conditions_scale_with_n():
     ({"rho": 1.2}, "rho must lie in"),
     ({"s": 3, "kappa_l": [1.0, 2.0, 3.0]}, "s <= qstar"),
     ({"d_l": [4]}, "d_l must cover"),
-], ids=["s0", "rho", "s-above-qstar", "short-d_l"])
+    ({"kappa": -1.0}, "kappa must be > 0"),
+    ({"kappa": 0.0}, "kappa must be > 0"),
+    ({"kappa1": 0.0}, "kappa1 must be > 0"),
+    ({"eps_s": 1.5}, r"eps_s must lie in \[0,1\)"),
+    ({"eps_s": -0.5}, r"eps_s must lie in \[0,1\)"),
+    ({"kappa_l": [1.0]}, "kappa_l must cover"),
+    ({"kappa_l": [1.0, -2.0]}, "kappa_l must be strictly positive"),
+], ids=["s0", "rho", "s-above-qstar", "short-d_l", "kappa-negative", "kappa0", "kappa1-0",
+        "eps_s-above-1", "eps_s-negative", "short-kappa_l", "kappa_l-negative"])
 def test_corollary_conditions_refusals(change, message):
-    # s = 0 and rho = 1.2 used to return all True, s > len(d_l) an IndexError
+    # s = 0, rho = 1.2, kappa = -1, eps_s outside [0, 1) and a negative
+    # kappa_l used to go unchecked; kappa = 0 and kappa1 = 0 raised
+    # ZeroDivisionError, s > len(d_l) and s > len(kappa_l) an IndexError
     kw = dict(n=1000, sigma2=1.0, rho=0.0, kappa=1.0, kappa1=1.0, kappa_l=[1.0, 2.0],
               eps_s=0.0, d_l=[4, 8], s=2, qstar=2, q=16, alpha=2.0)
     with pytest.raises(AssumptionError, match=message):
