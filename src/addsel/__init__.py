@@ -5,10 +5,10 @@ import sys as _sys
 
 # Every matrix here is small (at most a few hundred columns), so a second
 # OpenBLAS thread only spins while the main thread runs Python. OpenBLAS reads
-# its thread count once, when the library loads: pin it to one for the numpy
-# and scipy copies loaded below, unless the caller chose a count or numpy is
-# loaded already, and leave the environment as it was found, so child
-# processes inherit nothing. No result depends on the thread count.
+# its thread count once, when the library loads: pin it to one for numpy's
+# copy, loaded below, unless the caller chose a count or numpy is loaded
+# already, and leave the environment as it was found, so child processes
+# inherit nothing. No result depends on the thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _pin_blas = "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS)
 if _pin_blas:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import comb, exp, log, sqrt
+from math import comb, exp, inf, log, sqrt
 
 import numpy as np
 
@@ -160,16 +160,21 @@ def _check_sizes(rho, s, qstar, d_l):
         raise AssumptionError(f"d_l must cover sizes 1..{qstar}")
 
 
-def _check_signal(kappa_l, s, kappa=None, kappa1=None, eps_s=None):
-    """AssumptionError unless kappa_l covers sizes 1..s with positive values
-    and, where given, kappa > 0, kappa1 > 0 and 0 <= eps_s < 1."""
+def _check_signal(kappa_l, s, sigma2, kappa=None, kappa1=None, eps_s=None, alpha=None):
+    """AssumptionError unless kappa_l covers sizes 1..s with positive values,
+    sigma2 is finite and >= 0 (0 is the noiseless limit) and, where given,
+    kappa > 0, kappa1 > 0, 0 <= eps_s < 1 and alpha is finite and > 0."""
     if len(kappa_l) < s:
         raise AssumptionError(f"kappa_l must cover sizes 1..{s}")
     if not np.all(kappa_l[:s] > 0.0):
         raise AssumptionError("all kappa_l must be strictly positive")
+    if not 0.0 <= sigma2 < inf:
+        raise AssumptionError(f"sigma2 must be finite and >= 0, got {sigma2}")
     for name, value in (("kappa", kappa), ("kappa1", kappa1)):
         if value is not None and not value > 0.0:
             raise AssumptionError(f"{name} must be > 0, got {value}")
+    if alpha is not None and not 0.0 < alpha < inf:
+        raise AssumptionError(f"alpha must be finite and > 0, got {alpha}")
     if eps_s is not None and not 0.0 <= eps_s < 1.0:
         raise AssumptionError(f"eps_s must lie in [0,1), got {eps_s}")
 
@@ -188,7 +193,7 @@ def selection_error_bound(n, sigma2, rho, kappa_l, d_l, s, qstar, q, delta,
     kappa_l = np.asarray(kappa_l, dtype=float)
     d_l = np.asarray(d_l, dtype=float)
     _check_sizes(rho, s, qstar, d_l)
-    _check_signal(kappa_l, s)
+    _check_signal(kappa_l, s, sigma2)
     if not check_cprime(delta, cprime):
         raise AssumptionError(
             f"(delta={delta}, cprime={cprime}) violates the c' feasibility condition"
@@ -230,7 +235,7 @@ def corollary_conditions(n, sigma2, rho, kappa, kappa1, kappa_l, eps_s, d_l,
     if s < 1:
         raise AssumptionError(f"need s >= 1, got s={s}")
     _check_sizes(rho, s, qstar, d_l)
-    _check_signal(kappa_l, s, kappa, kappa1, eps_s)
+    _check_signal(kappa_l, s, sigma2, kappa, kappa1, eps_s, alpha)
     one_mr = 1.0 - rho * rho
     d_qstar = d_l[qstar - 1]
     d_s = d_l[s - 1]

@@ -1,7 +1,9 @@
 """addsel runs OpenBLAS on one thread unless the caller chose a count.
 
 OpenBLAS reads its thread count once, when the library loads, so every test
-here imports addsel in a fresh interpreter."""
+here imports addsel in a fresh interpreter. The only copy is numpy's: a
+library that brings its own and loads after the import (scipy does) would
+read OpenBLAS's default count."""
 
 import json
 import os
@@ -15,8 +17,8 @@ import addsel
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # prints the environment check and each loaded OpenBLAS's thread count, read
-# through its get_num_threads symbol (numpy's and scipy's copies carry
-# prefixed and suffixed names); no count where /proc/self/maps is missing
+# through its get_num_threads symbol (numpy's copy carries a prefixed and
+# suffixed name); no count where /proc/self/maps is missing
 PROBE = r"""
 import ctypes, json, os, sys
 before = dict(os.environ)
@@ -77,8 +79,8 @@ def test_callers_thread_count_wins(var):
 
 
 def test_no_effect_once_numpy_is_loaded():
-    # numpy's OpenBLAS has read its default before addsel loads, and scipy's
-    # copy, loaded by addsel, reads the same default
+    # numpy's OpenBLAS has read its default before addsel loads, and addsel
+    # loads no other copy
     got = _probe("numpy-first")
     assert got["unchanged"]
     assert len(set(got["threads"])) <= 1
@@ -122,3 +124,26 @@ def test_artifacts_do_not_depend_on_the_thread_count(tmp_path):
                            for tag in settings)
         assert unset == one == two
         assert b'"error"' not in unset
+
+
+NO_SCIPY = r"""
+import json, sys
+import addsel.cli
+after_import = {"numpy.random": "numpy.random" in sys.modules, "scipy": "scipy" in sys.modules}
+for command in ("geometry", "simulate", "diagnose", "estimate"):
+    assert addsel.cli.main([command, "--config", command + ".cfg",
+                            "--out", command + ".jsonl"]) == 0
+print(json.dumps({"after_import": after_import, "after_calls": "scipy" in sys.modules}))
+"""
+
+
+def test_scipy_stays_out_of_every_command(tmp_path):
+    # numpy.random loads with the package, so no call pays for it; scipy never
+    # loads, so no second OpenBLAS comes up after the import lifts its pin
+    for command, text in CONFIGS.items():
+        (tmp_path / f"{command}.cfg").write_text(text)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["after_import"] == {"numpy.random": True, "scipy": False}
+    assert got["after_calls"] is False

@@ -1,9 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import special
 from scipy.stats import norm
 
 from addsel import ConfigError, Density, GaussianCopulaDensity, TableDensity, UniformDensity
+from addsel.basis import QUAD_NODES_2D, midpoint_nodes
+from addsel.densities import ndtr, ndtri
 
 
 def test_uniform_sampling_range_and_shape():
@@ -158,3 +161,88 @@ def test_density_subclass_declares_no_c():
     assert Tilted().c is None
     assert UniformDensity().c == GaussianCopulaDensity(r=0.5).c == 1.0
     npt.assert_allclose(TableDensity(tables={0: table}).c, 0.2001, atol=1e-4)
+
+
+# ndtr and ndtri are ports of the Cephes kernels behind scipy.special's: every
+# value must have scipy's bits (NaN matching NaN, the sign of a zero included)
+
+
+def _assert_bitwise(port, reference, x):
+    got, want = port(x), reference(x)
+    assert got.shape == want.shape
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (x[~same][:5], got[~same][:5], want[~same][:5])
+    real = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+
+
+def _neighbours(points, steps=4):
+    """Each point and its `steps` nextafter neighbours on either side."""
+    out = []
+    for p in points:
+        below = above = np.float64(p)
+        out.append(below)
+        for _ in range(steps):
+            below = np.nextafter(below, -np.inf)
+            above = np.nextafter(above, np.inf)
+            out += [below, above]
+    return np.array(out)
+
+
+_EXPM2 = 0.13533528323661269189
+#: the least y with sqrt(-2 log y) < 8, where ndtri switches between its two tail
+#: fits; 15 ulps above exp(-32)
+_NDTRI_TAIL_EDGE = 1.2664165549094199e-14
+#: |a| where erfc's argument a / sqrt(2) reaches 1 and 8, and where -a^2/2 passes -MAXLOG
+_NDTR_EDGES = (1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996732e2))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.random(200_000),
+    lambda rng: 10.0 ** rng.uniform(-300.0, 0.0, 100_000),
+    lambda rng: 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 100_000),
+    lambda rng: rng.random(50_000) * 1e-10,
+], ids=["uniform", "lower-tail", "upper-tail", "below-1e-10"])
+def test_ndtri_matches_scipy_on_random_sweeps(draw):
+    _assert_bitwise(ndtri, special.ndtri, draw(np.random.default_rng(22)))
+
+
+def test_ndtri_matches_scipy_at_branch_edges():
+    edges = _neighbours([_EXPM2, 1.0 - _EXPM2, _NDTRI_TAIL_EDGE, 1.0 - _NDTRI_TAIL_EDGE,
+                         0.5, 1.0 - 1e-16, 1e-300])
+    _assert_bitwise(ndtri, special.ndtri, edges)
+
+
+def test_ndtri_matches_scipy_at_ends_and_outside_the_domain():
+    tiny = np.nextafter(0.0, 1.0)
+    y = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                  -tiny, -1.0, 2.0, np.inf, -np.inf, np.nan,
+                  tiny, 2 * tiny, 1e-310, np.finfo(float).tiny,
+                  np.nextafter(np.finfo(float).tiny, 0.0)])
+    _assert_bitwise(ndtri, special.ndtri, y)
+
+
+@pytest.mark.parametrize("n", [QUAD_NODES_2D] + list(range(8, 65)))
+def test_ndtri_matches_scipy_on_midpoint_nodes(n):
+    # the copula's quadrature nodes and every sup-norm grid size from 8 to 64
+    _assert_bitwise(ndtri, special.ndtri, midpoint_nodes(n))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: 3.0 * rng.standard_normal((16_384, 4)),
+    lambda rng: rng.uniform(-40.0, 40.0, 300_000),
+], ids=["normal", "wide"])
+def test_ndtr_matches_scipy_on_random_sweeps(draw):
+    _assert_bitwise(ndtr, special.ndtr, draw(np.random.default_rng(22)))
+
+
+def test_ndtr_matches_scipy_at_branch_edges():
+    edges = _neighbours([s * e for e in _NDTR_EDGES + (38.0,) for s in (1.0, -1.0)])
+    _assert_bitwise(ndtr, special.ndtr, edges)
+
+
+def test_ndtr_matches_scipy_at_zeros_infinities_and_nan():
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310,
+                  1e308, -1e308, np.finfo(float).max, -np.finfo(float).max])
+    _assert_bitwise(ndtr, special.ndtr, a)

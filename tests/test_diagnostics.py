@@ -323,6 +323,27 @@ def test_selection_error_bound_refuses_short_kappa_l():
         selection_error_bound(4000, 0.01, 0.0, [1.0], [4, 8], 2, 2, 6, 0.5, 0.001)
 
 
+@pytest.mark.parametrize("sigma2", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_selection_error_bound_refuses_bad_sigma2(sigma2):
+    # sigma2 = -1 used to return 2.2e20 as a probability bound
+    with pytest.raises(AssumptionError, match="sigma2 must be finite and >= 0"):
+        selection_error_bound(4000, sigma2, 0.0, [1.0, 2.0], [4, 8], 2, 2, 6, 0.5, 0.001)
+
+
+def test_noiseless_limit_is_allowed():
+    # sigma2 = 0 is the noiseless limit: every noise term of the bound divides
+    # by it into exp(-inf) = 0
+    with np.errstate(divide="ignore"):
+        total, terms = selection_error_bound(4000, 0.0, 0.0, [1.0, 2.0], [4, 8], 2, 2, 6,
+                                             0.5, 0.001)
+    assert terms["chi_square"] == terms["gaussian_projection"] == 0.0
+    assert total == terms["truncation"]
+    out = corollary_conditions(n=10 ** 6, sigma2=0.0, rho=0.0, kappa=1.0, kappa1=1.0,
+                               kappa_l=[1.0, 2.0], eps_s=0.0, d_l=[4, 8], s=2, qstar=2,
+                               q=16, alpha=2.0)
+    assert all(out.values())
+
+
 def test_diagnose_refuses_s_above_qstar_before_any_work(monkeypatch):
     # no candidate J with |J| <= qstar covers J0, so the bound has no meaning;
     # it used to read 1.6e-28 here while simulate recovered J0 in no trial
@@ -361,12 +382,19 @@ def test_corollary_conditions_scale_with_n():
     ({"eps_s": -0.5}, r"eps_s must lie in \[0,1\)"),
     ({"kappa_l": [1.0]}, "kappa_l must cover"),
     ({"kappa_l": [1.0, -2.0]}, "kappa_l must be strictly positive"),
+    ({"alpha": 0.0}, "alpha must be finite and > 0"),
+    ({"alpha": -1.0}, "alpha must be finite and > 0"),
+    ({"alpha": float("nan")}, "alpha must be finite and > 0"),
+    ({"sigma2": -1.0}, "sigma2 must be finite and >= 0"),
+    ({"sigma2": float("inf")}, "sigma2 must be finite and >= 0"),
 ], ids=["s0", "rho", "s-above-qstar", "short-d_l", "kappa-negative", "kappa0", "kappa1-0",
-        "eps_s-above-1", "eps_s-negative", "short-kappa_l", "kappa_l-negative"])
+        "eps_s-above-1", "eps_s-negative", "short-kappa_l", "kappa_l-negative",
+        "alpha0", "alpha-negative", "alpha-nan", "sigma2-negative", "sigma2-inf"])
 def test_corollary_conditions_refusals(change, message):
-    # s = 0, rho = 1.2, kappa = -1, eps_s outside [0, 1) and a negative
-    # kappa_l used to go unchecked; kappa = 0 and kappa1 = 0 raised
-    # ZeroDivisionError, s > len(d_l) and s > len(kappa_l) an IndexError
+    # s = 0, rho = 1.2, kappa = -1, eps_s outside [0, 1), a negative kappa_l,
+    # alpha = -1 or NaN and sigma2 = -1 or inf used to go unchecked; kappa = 0,
+    # kappa1 = 0 and alpha = 0 raised ZeroDivisionError, s > len(d_l) and
+    # s > len(kappa_l) an IndexError
     kw = dict(n=1000, sigma2=1.0, rho=0.0, kappa=1.0, kappa1=1.0, kappa_l=[1.0, 2.0],
               eps_s=0.0, d_l=[4, 8], s=2, qstar=2, q=16, alpha=2.0)
     with pytest.raises(AssumptionError, match=message):

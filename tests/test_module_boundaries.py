@@ -6,7 +6,8 @@ modules need gets a public name in one home instead of a second copy or a
 reach into another module's internals. The layer order says where that home
 can be: a helper both ``geometry`` and ``diagnostics`` use lives in ``basis``
 or lower. No module reaches a private numpy or scipy name either, so a fast
-path stays on public API. Each ``src/addsel/*.py`` is parsed, not imported.
+path stays on public API, and no module imports scipy at all. Each
+``src/addsel/*.py`` is parsed, not imported.
 """
 
 import ast
@@ -97,3 +98,30 @@ def test_no_private_numpy_or_scipy_api():
                for line in _private_numeric_uses(ast.parse(source.read_text(),
                                                             filename=str(source)))]
     assert not private, private
+
+
+def _scipy_imports(tree):
+    """Lines of the import statements in ``tree`` that load scipy or a submodule."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_imports_scipy():
+    # the normal cdf and its inverse are ports in densities, so the package
+    # runs on numpy alone; scipy is only the tests' reference
+    for probe in ("import scipy", "from scipy.special import ndtr",
+                  "import numpy, scipy.special as sp", "def f():\n    from scipy import stats"):
+        assert _scipy_imports(ast.parse(probe)), probe
+    assert _scipy_imports(ast.parse("import numpy.random\nfrom .densities import ndtr")) == []
+    found = [f"{source.name}:{line}" for source in SOURCES
+             for line in _scipy_imports(ast.parse(source.read_text(), filename=str(source)))]
+    assert not found, found
