@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-# argparse's gettext imports locale on the first parse; load it with the module
-import locale  # noqa: F401
 import sys
 from dataclasses import asdict
 

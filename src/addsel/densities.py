@@ -26,13 +26,15 @@ _EXPM2 = 0.13533528323661269189  # exp(-2)
 _S2PI = 2.50662827463100050242  # sqrt(2 pi)
 _SQRTH = 7.07106781186547524401e-1  # 1/sqrt(2)
 _MAXLOG = 7.09782712893383996732e2  # log(DBL_MAX)
+# The tables Cephes evaluates with p1evl (each Q, S and U) lead here with the
+# 1.0 that p1evl implies
 
 # ndtri: y + y y2 P0(y2)/Q0(y2) for |y - 1/2| < 1/2 - exp(-2), then in
 # 1/sqrt(-2 log y), P1/Q1 for y > exp(-32) and P2/Q2 below
 _NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
              -5.66762857469070293439e1, 1.39312609387279679503e1,
              -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
              8.63602421390890590575e1, -2.25462687854119370527e2,
              2.00260212380060660359e2, -8.20372256168333339912e1,
              1.59056225126211695515e1, -1.18331621121330003142e0)
@@ -41,7 +43,7 @@ _NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
              1.46849561928858024014e1, 2.18663306850790267539e0,
              -1.40256079171354495875e-1, -3.50424626827848203418e-2,
              -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
              4.13172038254672030440e1, 1.50425385692907503408e1,
              2.50464946208309415979e0, -1.42182922854787788574e-1,
              -3.80806407691578277194e-2, -9.33259480895457427372e-4)
@@ -50,7 +52,7 @@ _NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
              2.01485389549179081538e-1, 1.23716634817820021358e-2,
              3.01581553508235416007e-4, 2.65806974686737550832e-6,
              6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
              1.37702099489081330271e0, 2.16236993594496635890e-1,
              1.34204006088543189037e-2, 3.28014464682127739104e-4,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
@@ -61,37 +63,32 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3,
            5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
            3.54937778887819891062e2, 9.75708501743205489753e2,
            1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
            5.01905042251180477414e0, 6.16021097993053585195e0,
            7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
            1.20489539808096656605e1, 1.70814450747565897222e1,
            9.60896809063285878198e0, 3.36907645100081516050e0)
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
           2.23200534594684319226e3, 7.00332514112805075473e3,
           5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
           4.59432382970980127987e3, 2.26290000613890934246e4,
           4.92673942608635921086e4)
 
 
 def _polevl(x, coef):
-    """Cephes polevl: Horner's rule from the leading coefficient."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    """Cephes p1evl: polevl with an implied leading coefficient 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+    """Cephes polevl on the array x: Horner's rule from the leading
+    coefficient. A table led by 1.0 gives p1evl, since 1.0 * x is exact."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
@@ -115,13 +112,13 @@ def ndtri(y0):
     central = y > _EXPM2
     c = y[central] - 0.5
     c2 = c * c
-    out[central] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))) * _S2PI
+    out[central] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _S2PI
     tail = ~central
     t = np.sqrt(-2.0 * _libm(math.log, y[tail]))
     t0 = t - _libm(math.log, t) / t
     z = 1.0 / t
-    t1 = np.where(t < 8.0, z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1),
-                  z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2))
+    t1 = np.where(t < 8.0, z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1),
+                  z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2))
     t = t0 - t1
     out[tail] = np.where(upper[tail], t, -t)
     x[inside] = out
@@ -132,31 +129,39 @@ def ndtr(a):
     """Standard normal cdf (Cephes ``ndtr``, with its ``erf`` and ``erfc``
     inlined); NaN stays NaN."""
     a = np.asarray(a, dtype=float)
-    x = a * _SQRTH
-    z = np.abs(x)
-    y = np.full(x.shape, np.nan)
-    near = z < _SQRTH
-    s = x[near]
-    s2 = s * s
-    y[near] = 0.5 + 0.5 * (s * _polevl(s2, _ERF_T) / _p1evl(s2, _ERF_U))
-    far = z >= _SQRTH
-    w = z[far]
-    e = np.zeros_like(w)  # erfc(w), 0 where exp(-w^2) underflows
-    one = w < 1.0
-    v = w[one]
-    v2 = v * v
-    e[one] = 1.0 - v * _polevl(v2, _ERF_T) / _p1evl(v2, _ERF_U)
+    x = a.reshape(-1) * _SQRTH
+    # erf(x) = x T(x^2)/U(x^2) on every element, read only where |x| < 1
+    # (where |x| is large, the polynomials overflow to a NaN no branch reads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x * x
+        g = _polevl(x2, _ERF_T)
+        g *= x
+        g /= _polevl(x2, _ERF_U)
+    y = np.multiply(g, 0.5, out=x2)  # x2 is spent; fewer fresh arrays
+    y += 0.5
+    far = np.flatnonzero(np.abs(x) >= _SQRTH)
+    xf = x[far]
+    w = np.abs(xf)
+    e = 1.0 - np.abs(g[far])  # erfc(w) = 1 - erf(w) for w < 1
+    tail = np.flatnonzero(w >= 1.0)
+    b = w[tail]
     with np.errstate(over="ignore"):
-        nw2 = -w * w
-    live = ~one & ~(nw2 < -_MAXLOG)
-    b = w[live]
-    small = b < 8.0
-    p = np.where(small, _polevl(b, _ERFC_P), _polevl(b, _ERFC_R))
-    q = np.where(small, _p1evl(b, _ERFC_Q), _p1evl(b, _ERFC_S))
-    e[live] = (_libm(math.exp, nw2[live]) * p) / q
+        b2 = b * b
+    live = np.flatnonzero(b2 <= _MAXLOG)  # beyond, exp(-b^2) underflows: erfc is 0
+    b = b[live]
+    p = _polevl(b, _ERFC_P)
+    q = _polevl(b, _ERFC_Q)
+    big = np.flatnonzero(b >= 8.0)
+    p[big] = _polevl(b[big], _ERFC_R)
+    q[big] = _polevl(b[big], _ERFC_S)
+    erfc = np.zeros(tail.size)
+    erfc[live] = (_libm(math.exp, -b2[live]) * p) / q
+    e[tail] = erfc
     e *= 0.5
-    y[far] = np.where(x[far] > 0.0, 1.0 - e, e)
-    return y
+    up = np.flatnonzero(xf > 0.0)
+    e[up] = 1.0 - e[up]
+    y[far] = e
+    return y.reshape(a.shape)
 
 
 class Density:
