@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
 from .errors import ConfigError
@@ -85,14 +87,15 @@ def validate_config(cfg):
         raise ConfigError(f"need 1 <= qstar <= q, got qstar={cfg['qstar']}")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
-    if cfg["sigma"] < 0:
-        raise ConfigError("sigma must be nonnegative")
-    if not cfg["alpha"] > 0:
-        raise ConfigError(f"alpha must be positive, got {cfg['alpha']}")
-    if not cfg["K"] > 0:
-        raise ConfigError(f"K must be positive, got {cfg['K']}")
-    if not cfg["kappa1"] >= 0:
-        raise ConfigError(f"kappa1 must be nonnegative, got {cfg['kappa1']}")
+    # NaN fails every comparison, so each range check also refuses it
+    if not 0 <= cfg["sigma"] < inf:
+        raise ConfigError(f"sigma must be finite and nonnegative, got {cfg['sigma']}")
+    if not 0 < cfg["alpha"] < inf:
+        raise ConfigError(f"alpha must be finite and positive, got {cfg['alpha']}")
+    if not 0 < cfg["K"] < inf:
+        raise ConfigError(f"K must be finite and positive, got {cfg['K']}")
+    if not 0 <= cfg["kappa1"] < inf:
+        raise ConfigError(f"kappa1 must be finite and nonnegative, got {cfg['kappa1']}")
     grid = cfg["n_grid"]
     if len(grid) < 3 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"n_grid must hold at least 3 increasing positive sizes, got {grid}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, floor
 
 import numpy as np
 
@@ -107,6 +107,35 @@ def _mean_of_completed(risks):
     return np.divide(total, count, out=np.full(len(total), np.nan), where=count > 0)
 
 
+def _percentiles(values, ps):
+    """np.percentile(values, ps) under numpy's default linear method, bit for bit,
+    for percentiles ps in [0, 100]; as floats, NaN for each when any value is NaN.
+
+    numpy's own routine calls np.unique, which loads numpy.ma. Each p reads
+    the values at the virtual index v = (n - 1) p / 100 and lerps from the
+    lower neighbour for a weight t below 0.5 and back from the upper one
+    otherwise, as numpy's _lerp does; from v >= n - 1 on both neighbours are
+    the last value (index -1) and t = v + 1. The values are partitioned at the
+    same sorted indexes as numpy's, so even tied zeros of either sign land alike.
+    """
+    a = np.array(values, dtype=float)
+    n = len(a)
+    spots = []
+    for p in ps:
+        v = (n - 1) * (p / 100)
+        i = floor(v) if v < n - 1 else -1
+        spots.append((v, i, i + 1 if i >= 0 else -1))
+    a.partition(sorted({0, -1}.union(*((i, j) for _, i, j in spots))))
+    if np.isnan(a[-1]):
+        return [float("nan")] * len(spots)
+    out = []
+    for v, i, j in spots:
+        t = v - i
+        d = a[j] - a[i]
+        out.append(float(a[j] - d * (1 - t) if t >= 0.5 else a[i] + d * t))
+    return out
+
+
 def rate_experiment(cfg: dict):
     """Risk of the split-sample component fit across sample sizes.
 
@@ -166,8 +195,7 @@ def rate_experiment(cfg: dict):
         if np.all(np.isfinite(means)) and np.all(means > 0):
             boot.append(np.polyfit(logn, np.log(means), 1)[0])
     if boot:
-        lo, hi = np.percentile(boot, [2.5, 97.5])
-        out["slope_band"] = [float(lo), float(hi)]
+        out["slope_band"] = _percentiles(boot, (2.5, 97.5))
     else:
         out["slope_band"] = None
     out["degenerate"] = False

@@ -17,8 +17,10 @@ from .errors import AssumptionError, BudgetError, SingularBlockError
 EIG_FLOOR = 1e-12
 #: most subsets or subset pairs one enumeration may walk (see check_budget)
 SUBSET_BUDGET = 10 ** 6
-#: most grid points sup_norm_ratio evaluates for one subset; read at call time
+#: grid points per subset above which _grid_points halves the grid; read at call time
 GRID_BUDGET = 2 ** 22
+#: grid points summed at once by sup_norm_ratio (256 KiB); read at call time
+SLAB_POINTS = 2 ** 15
 #: points per axis of the sup-norm grid before GRID_BUDGET halves them
 GRID_SIZE = 512
 # rounding allowance of check_ric_chain: eps (eigvalsh) and rho (SVD) agree only
@@ -238,25 +240,34 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
     Bs = [basis_matrix(spec.basis_indices(j), x) for j in J]
     sl = block_slices([spec.dim(j) for j in J])
     # q(x) decomposes into per-axis diagonal terms and pairwise cross terms,
-    # added in place into one array per slab along the first axis; no slab
-    # exceeds GRID_BUDGET points unless one g^(k-1) face does
-    rows = max(1, GRID_BUDGET // g ** (k - 1))
-    peak = -np.inf
-    for lo in range(0, g, rows):
-        total = np.zeros((min(rows, g - lo),) + (g,) * (k - 1))
-        for a in range(k):
-            part = slice(lo, lo + rows) if a == 0 else slice(None)
-            diag = np.einsum("gi,ij,gj->g", Bs[a], M[sl[a], sl[a]], Bs[a])[part]
+    # each formed once over its own axes and read over the grid as a
+    # broadcast view, in the order a, then (a, b) for b > a
+    terms = []
+    for a in range(k):
+        shape = [1] * k
+        shape[a] = g
+        terms.append(np.einsum("gi,ij,gj->g", Bs[a], M[sl[a], sl[a]], Bs[a]).reshape(shape))
+        for b in range(a + 1, k):
             shape = [1] * k
-            shape[a] = len(diag)
-            total += diag.reshape(shape)
-            for b in range(a + 1, k):
-                cross = (Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T)[part]
-                shape = [1] * k
-                shape[a] = len(cross)
-                shape[b] = g
-                total += 2.0 * cross.reshape(shape)
-        peak = max(peak, total.max())
+            shape[a] = shape[b] = g
+            cross = Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T
+            cross *= 2.0
+            terms.append(cross.reshape(shape))
+    terms = [np.broadcast_to(t, (g,) * k) for t in terms]
+    # they are added in that order into one reused buffer of at most SLAB_POINTS
+    # points: a slab fixes one index on each axis before ``axis`` and takes
+    # ``rows`` rows along it, so every point adds the same terms in the same order
+    axis = next(p for p in range(k) if g ** (k - 1 - p) <= SLAB_POINTS)
+    rows = min(g, SLAB_POINTS // g ** (k - 1 - axis))
+    buffer = np.empty((rows,) + (g,) * (k - 1 - axis))
+    peak = -np.inf
+    for head in itertools.product(range(g), repeat=axis):
+        for lo in range(0, g, rows):
+            slab = buffer[:min(rows, g - lo)]
+            slab.fill(0.0)
+            for t in terms:
+                slab += t[head + (slice(lo, lo + rows),)]
+            peak = max(peak, slab.max())
     return float(np.sqrt(peak / sl[-1].stop))
 
 

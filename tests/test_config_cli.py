@@ -216,6 +216,28 @@ def test_cli_refuses_nonpositive_K_and_negative_kappa1(tmp_path, capsys, line, k
     assert parse_config("kappa1 = 0\n")["kappa1"] == 0.0
 
 
+@pytest.mark.parametrize("key", ["sigma", "alpha", "K", "kappa1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_refuses_nonfinite_scales(key, value):
+    # NaN fails every comparison, so a one-sided check such as sigma < 0 let
+    # it through; inf passed them all
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        parse_config(f"{key} = {value}\n")
+    assert parse_config(f"{key} = 3.5\n")[key] == 3.5
+
+
+def test_cli_simulate_refuses_nan_sigma(tmp_path, capsys):
+    # sigma = nan used to run to exit code 0 with an empty selected set and
+    # a success rate of 0.0 in the summary
+    out = tmp_path / "nan.jsonl"
+    assert main(["simulate", "--config", _write(tmp_path, SMALL + "sigma = nan\n"),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ConfigError"
+    assert record["error"]["message"] == "sigma must be finite and nonnegative, got nan"
+
+
 @pytest.mark.parametrize("command,text,flags", [
     ("geometry", SMALL + "seed = -1\n", []),
     ("simulate", SMALL, ["--seed", "-1"]),

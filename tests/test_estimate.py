@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +9,7 @@ import pytest
 from addsel import (AddselError, AssumptionError, BasisSpec, Dataset, UniformDensity,
                     component_risk, default_m_target, estimate_component, gen_model,
                     gen_response, rate_experiment, select_exhaustive)
+from addsel.estimate import _percentiles
 from addsel.simulate import AdditiveModel
 
 
@@ -196,3 +201,37 @@ def test_estimate_component_refits_only_J_fit_bitwise(law, monkeypatch):
     bad[-1, next(j for j in range(6) if j not in J_fit)] = 1.5
     with pytest.raises(AddselError, match=r"\[0,1\]"):
         estimate_component(Dataset(bad, ds.Y), spec, 2, 0.09, target, m_target=7)
+
+
+def test_percentiles_equal_numpy_bitwise():
+    # the slope band's helper against np.percentile's default linear method,
+    # on continuous draws and on draws with many ties, also of zeros of either
+    # sign; both branches of the lerp (weight below and from 0.5 on) occur
+    rng = np.random.default_rng(23)
+    ps = (2.5, 97.5, 0.0, 50.0, 100.0, 33.3)
+    for n in range(1, 201):
+        for values in (rng.standard_normal(n), rng.integers(0, 4, n).astype(float),
+                       np.round(rng.standard_normal(n), 0)):
+            want = np.percentile(values, list(ps)).tolist()
+            got = _percentiles(values, ps)
+            assert got == want, n
+            assert np.signbit(got).tolist() == np.signbit(want).tolist(), n
+
+
+ESTIMATE_WITHOUT_MA = r"""
+import json, sys
+from addsel.cli import main
+assert main(["estimate", "--config", "est.cfg", "--out", "est.jsonl"]) == 0
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+def test_estimate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.percentile calls np.unique, which imports numpy.ma (about 10 ms)
+    (tmp_path / "est.cfg").write_text("q = 4\ns = 2\nqstar = 2\nm_rule = fixed:4\n"
+                                      "target = 0\nn_grid = 128,256,512\nreps = 2\n")
+    proc = subprocess.run([sys.executable, "-c", ESTIMATE_WITHOUT_MA], cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) is False
+    report = json.loads((tmp_path / "est.jsonl").read_text().splitlines()[-1])
+    assert report["slope_band"] is not None

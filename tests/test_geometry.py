@@ -14,8 +14,8 @@ from addsel import geometry
 from addsel.geometry import (_inv_sqrt, count_disjoint_pairs, count_subsets_up_to,
                              epsilons_from_gram, population_projection_gap,
                              rho_from_gram, subsets_up_to)
-from addsel.basis import EIG_CHUNK, block_columns, block_slices, \
-    build_design_blocks, full_block_gram
+from addsel.basis import EIG_CHUNK, basis_matrix, block_columns, block_slices, \
+    build_design_blocks, full_block_gram, midpoint_nodes
 from addsel.errors import SingularBlockError
 from addsel.simulate import AdditiveModel, density_from_config
 
@@ -193,13 +193,87 @@ def test_empty_sup_norm_grid_is_refused(run, grid_size):
         run(BasisSpec.create(3, 5), grid_size)
 
 
+_TILT = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+
+
+def _slab_loop(spec, G, J, g):
+    """The sup-norm kernel as it was before the reused slab buffer: one new
+    array per slab of at most 2^22 points, every term rebuilt over the whole
+    grid for every slab and sliced."""
+    k = len(J)
+    W = _inv_sqrt(G, f"V_J for J={J}")
+    M = W @ W
+    x = midpoint_nodes(g)
+    Bs = [basis_matrix(spec.basis_indices(j), x) for j in J]
+    sl = block_slices([spec.dim(j) for j in J])
+    rows = max(1, 2 ** 22 // g ** (k - 1))
+    peak = -np.inf
+    for lo in range(0, g, rows):
+        total = np.zeros((min(rows, g - lo),) + (g,) * (k - 1))
+        for a in range(k):
+            part = slice(lo, lo + rows) if a == 0 else slice(None)
+            diag = np.einsum("gi,ij,gj->g", Bs[a], M[sl[a], sl[a]], Bs[a])[part]
+            shape = [1] * k
+            shape[a] = len(diag)
+            total += diag.reshape(shape)
+            for b in range(a + 1, k):
+                cross = (Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T)[part]
+                shape = [1] * k
+                shape[a] = len(cross)
+                shape[b] = g
+                total += 2.0 * cross.reshape(shape)
+        peak = max(peak, total.max())
+    return float(np.sqrt(peak / sl[-1].stop))
+
+
+_PARITY_LAWS = {
+    "uniform": (UniformDensity(), 4),
+    "copula-0.5": (GaussianCopulaDensity(r=-0.5), 4),
+    "copula0.3": (GaussianCopulaDensity(r=0.3), 4),
+    "copula0.9": (GaussianCopulaDensity(r=0.9), 4),
+    "table-on-last": (TableDensity(tables={3: _TILT}), 4),
+    "unequal-m": (GaussianCopulaDensity(r=0.3), (3, 5, 4, 6)),
+}
+
+
+@pytest.mark.parametrize("size,g", [(1, 64), (2, 64), (3, 32), (4, 16)])
+@pytest.mark.parametrize("law", list(_PARITY_LAWS))
+def test_sup_norm_kernel_equals_slab_loop(law, size, g):
+    # every grid point adds the same terms in the same order as in the old
+    # loop, and max is exact, so phi_J is bit for bit the same; J holds the
+    # last covariate, which carries the table law and the largest m
+    density, m = _PARITY_LAWS[law]
+    spec, J = BasisSpec.create(4, m), list(range(4 - size, 4))
+    G = population_gram(spec, density, J)
+    assert geometry._sup_norm_ratio(spec, G, J, g) == _slab_loop(spec, G, J, g)
+
+
+@pytest.mark.parametrize("J,g,slab_points", [
+    ([0, 1, 2], 64, 5 * 64 ** 2),   # 5 rows per slab: 13 slabs, the last short
+    ([0, 1, 2], 64, 64 ** 2 - 1),   # a face above the slab: 63 rows of axis 1 per slab
+    ([0, 1, 2], 64, 50),            # a line above it: 50 points of axis 2, then 14
+    ([0, 1, 2, 3], 16, 1000),       # 3 rows of axis 1 per slab at |J| = 4
+    ([1, 3], 100, 7 * 100),         # 100 rows in slabs of 7: the last holds 2
+    ([0, 1], 512, None),            # the default shapes: 8 slabs of 64 rows
+    ([0, 1, 2], 128, None),         # and 64 slabs of 2 rows
+], ids=["short-last", "face-above-slab", "line-above-slab", "face-above-slab-4",
+        "uneven-rows", "default-2", "default-3"])
+def test_sup_norm_kernel_equals_slab_loop_at_slab_edges(monkeypatch, J, g, slab_points):
+    if slab_points is not None:
+        monkeypatch.setattr(geometry, "SLAB_POINTS", slab_points)
+    spec = BasisSpec.create(4, (3, 5, 4, 6))
+    G = population_gram(spec, GaussianCopulaDensity(r=0.3), J)
+    assert geometry._sup_norm_ratio(spec, G, J, g) == _slab_loop(spec, G, J, g)
+
+
 def test_sup_norm_grid_summed_in_slabs_is_bitwise(monkeypatch):
-    # a grid above GRID_BUDGET is summed in slabs along its first axis; every
-    # point adds the same terms in the same order, so the maximum is unchanged
+    # the grid is summed in slabs of SLAB_POINTS points along its first axis;
+    # every point adds the same terms in the same order, so the maximum is
+    # unchanged
     spec, J, g = BasisSpec.create(3, 4), [0, 1, 2], 64
     G = population_gram(spec, GaussianCopulaDensity(r=0.3), J)
     whole = geometry._sup_norm_ratio(spec, G, J, g)
-    monkeypatch.setattr(geometry, "GRID_BUDGET", 5 * g ** 2)  # 13 slabs, the last short
+    monkeypatch.setattr(geometry, "SLAB_POINTS", 5 * g ** 2)  # 13 slabs, the last short
     tracemalloc.start()
     try:
         slabs = geometry._sup_norm_ratio(spec, G, J, g)
@@ -211,19 +285,32 @@ def test_sup_norm_grid_summed_in_slabs_is_bitwise(monkeypatch):
     assert peak < 1 << 20
 
 
-def test_sup_norm_slab_is_summed_in_place():
-    # one slab holds the whole 64^3 grid; its terms are added into one array,
-    # so no second grid-sized array is alive at any point of the sum
-    spec, J, g = BasisSpec.create(3, 4), [0, 1, 2], 64
-    G = population_gram(spec, GaussianCopulaDensity(r=0.3), J)
-    assert g ** len(J) <= geometry.GRID_BUDGET
+def _kernel_peak_bytes(spec, law, J, g):
+    """tracemalloc's peak over one _sup_norm_ratio call on the g^|J| grid."""
+    G = population_gram(spec, law, J)
     tracemalloc.start()
     try:
         geometry._sup_norm_ratio(spec, G, J, g)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * g ** len(J)
+
+
+def test_sup_norm_slab_is_summed_in_place():
+    # the 128^3 grid takes 16.8 MB as one float64 array; it is summed in one
+    # reused buffer of SLAB_POINTS points, and its terms are formed once over
+    # their own axes
+    assert 128 ** 3 <= geometry.GRID_BUDGET
+    peak = _kernel_peak_bytes(BasisSpec.create(3, 4), GaussianCopulaDensity(r=0.3), [0, 1, 2], 128)
+    assert peak < 2 << 20
+
+
+def test_sup_norm_slab_stays_in_budget_past_one_face():
+    # from |J| = 7 on the grid has 8 points per axis, and one 8^6 face alone
+    # takes 2 MiB; the slab then runs along a later axis
+    assert geometry._grid_points(7, geometry.GRID_SIZE) == 8
+    peak = _kernel_peak_bytes(BasisSpec.create(7, 2), UniformDensity(), list(range(7)), 8)
+    assert peak < 1 << 20
 
 
 def test_verify_angle_equivalence_random():
@@ -255,9 +342,6 @@ def _full_enumeration(spec, density, qstar, grid_size):
 def _report_values(spec, density, qstar, grid_size):
     rep = geometry_report(spec, density, qstar, grid_size=grid_size)
     return rep.rho_qstar, rep.eps_2qstar, rep.eps_prime_qstar, rep.phi_2qstar
-
-
-_TILT = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
 
 
 @pytest.mark.parametrize("density", [GaussianCopulaDensity(r=-0.1), GaussianCopulaDensity(r=0.3),
