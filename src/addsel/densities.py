@@ -212,8 +212,8 @@ class GaussianCopulaDensity(Density):
     """
 
     r: float
-    #: (u, v, pdf) of the last grid pair: every pair of covariates shares one
-    #: copula, so repeated calls on one quadrature grid reuse it
+    #: (r, u, v, pdf) of the last call: every pair of covariates shares one
+    #: copula, so repeated calls on one quadrature grid reuse its read-only pdf
     _pair_cache: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -235,14 +235,24 @@ class GaussianCopulaDensity(Density):
         u = np.array(u, dtype=float)
         v = np.array(v, dtype=float)
         cache = self._pair_cache
-        if cache is not None and np.array_equal(cache[0], u) and np.array_equal(cache[1], v):
-            return cache[2]
+        if (cache is not None and cache[0] == r and np.array_equal(cache[1], u)
+                and np.array_equal(cache[2], v)):
+            return cache[3]
         z = ndtri(u)
         w = ndtri(v)
-        zz, ww = np.meshgrid(z, w, indexing="ij")
-        expo = -(r * r * (zz * zz + ww * ww) - 2.0 * r * zz * ww) / (2.0 * (1.0 - r * r))
-        out = np.exp(expo) / np.sqrt(1.0 - r * r)
-        self._pair_cache = (u, v, out)
+        # exp(-(r^2 (z^2 + w^2) - 2 r z w) / (2 (1 - r^2))) / sqrt(1 - r^2),
+        # left to right over the (z, w) grid in two buffers: every entry goes
+        # through the operations of the expression, in its order
+        out = np.add((z * z)[:, None], (w * w)[None, :])
+        out *= r * r
+        cross = np.multiply((2.0 * r * z)[:, None], w[None, :])
+        np.subtract(out, cross, out=out)
+        np.negative(out, out=out)
+        out /= 2.0 * (1.0 - r * r)
+        np.exp(out, out=out)
+        out /= np.sqrt(1.0 - r * r)
+        out.flags.writeable = False
+        self._pair_cache = (r, u, v, out)
         return out
 
     def sample(self, n, q, rng):

@@ -253,8 +253,20 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
             cross = Bs[a] @ M[sl[a], sl[b]] @ Bs[b].T
             cross *= 2.0
             terms.append(cross.reshape(shape))
-    terms = [np.broadcast_to(t, (g,) * k) for t in terms]
-    # they are added in that order into one reused buffer of at most SLAB_POINTS
+    # the leading run a = 0, (0, 1), ..., (0, lead-1) lies on the first lead
+    # axes, whose g^lead points fit one slab (lead < k): it is summed once, left
+    # to right, and each slab starts from it; with lead = 0 it is the 0.0 a
+    # fresh sum starts from
+    lead = 0
+    while lead < k - 1 and g ** (lead + 1) <= SLAB_POINTS:
+        lead += 1
+    prefix = np.zeros((1,) * k) if lead == 0 else terms[0]
+    if lead > 1:
+        prefix = np.add(terms[0], terms[1], out=np.empty((g,) * lead + (1,) * (k - lead)))
+        for t in terms[2:lead]:
+            prefix += t
+    terms = [np.broadcast_to(t, (g,) * k) for t in [prefix] + terms[lead:]]
+    # the rest are added in order into one reused buffer of at most SLAB_POINTS
     # points: a slab fixes one index on each axis before ``axis`` and takes
     # ``rows`` rows along it, so every point adds the same terms in the same order
     axis = next(p for p in range(k) if g ** (k - 1 - p) <= SLAB_POINTS)
@@ -263,10 +275,10 @@ def _sup_norm_ratio(spec: BasisSpec, G, J, g) -> float:
     peak = -np.inf
     for head in itertools.product(range(g), repeat=axis):
         for lo in range(0, g, rows):
-            slab = buffer[:min(rows, g - lo)]
-            slab.fill(0.0)
-            for t in terms:
-                slab += t[head + (slice(lo, lo + rows),)]
+            idx = head + (slice(lo, lo + rows),)
+            slab = np.add(terms[0][idx], terms[1][idx], out=buffer[:min(rows, g - lo)])
+            for t in terms[2:]:
+                slab += t[idx]
             peak = max(peak, slab.max())
     return float(np.sqrt(peak / sl[-1].stop))
 
@@ -292,19 +304,19 @@ class PopulationGeometry:
     identity. rho and eps are then exact zeros, returned without a Gram or an
     enumeration, and event E's normalized Gram is the empirical Gram itself.
 
-    ``k`` and ``per_size``: under an exchangeable law with one m_j for all
-    blocks, G_J depends only on |J|, and a disjoint pair's Gram only on how its
-    two subsets interleave. Every such pair of size <= qstar occurs among the
+    ``k``: under an exchangeable law with one m_j for all blocks, G_J depends
+    only on |J|, and a disjoint pair's Gram only on how its two subsets
+    interleave. Every such pair of size <= qstar occurs among the
     first 2 qstar blocks, so the suprema range over k = min(q, 2 qstar) blocks
-    bit for bit, and phi scores one subset per size. Otherwise k = q and phi
-    scores every subset; rho and eps walk every subset of the k blocks.
+    bit for bit. Otherwise k = q, and rho, eps and phi walk every subset of the
+    k blocks; phi scores each distinct input once (see ``phi``).
     """
 
     def __init__(self, spec: BasisSpec, density: Density, qstar: int):
         self.spec, self.density, self.qstar = spec, density, qstar
         self.identity = density.independent and density.uniform_marginals
-        self.per_size = density.exchangeable and len(set(spec.m)) == 1
-        self.k = min(spec.q, 2 * qstar) if self.per_size else spec.q
+        exchangeable = density.exchangeable and len(set(spec.m)) == 1
+        self.k = min(spec.q, 2 * qstar) if exchangeable else spec.q
 
     @cached_property
     def gram(self):
@@ -325,20 +337,25 @@ class PopulationGeometry:
         return epsilons_from_gram(*self._leading(), self.qstar)
 
     def phi(self, grid_size=GRID_SIZE):
-        """(phi_2qstar, {|J|: points per axis of its grid}); under ``per_size``
-        (0..r-1) stands for every subset of size r, and the budget counts them all."""
+        """(phi_2qstar, {|J|: points per axis of its grid}) over every subset J of
+        size <= 2 qstar of the k blocks. phi_J is a function of the bytes of G_J,
+        the m_j of J and the grid size alone, so each distinct (G_J, m_J, g) is
+        scored once, at its first J in enumeration order: equal inputs give equal
+        bits, and a singular G_J is named by the same J as a walk scoring each."""
         G, slices = self._leading()
         size = min(2 * self.qstar, self.k)
         check_budget(count_subsets_up_to(self.k, size), "subset enumeration exceeds budget")
-        subsets = ([tuple(range(r)) for r in range(1, size + 1)] if self.per_size
-                   else subsets_up_to(self.k, size))
-        best, grid = 0.0, {}
-        for J in subsets:
+        best, grid, scored = 0.0, {}, {}
+        for J in subsets_up_to(self.k, size):
             if self.spec.d_J(J) == 0:
                 continue
             grid[len(J)] = g = _grid_points(len(J), grid_size)
             c = block_columns(slices, J)
-            best = max(best, _sup_norm_ratio(self.spec, G[np.ix_(c, c)], list(J), g))
+            GJ = G[np.ix_(c, c)]
+            key = (GJ.tobytes(), tuple(self.spec.m[j] for j in J), g)
+            if key not in scored:
+                scored[key] = _sup_norm_ratio(self.spec, GJ, list(J), g)
+            best = max(best, scored[key])
         return best, grid
 
 

@@ -36,6 +36,50 @@ def test_copula_pair_pdf_cache_keys_on_the_grids():
     assert dens.pair_pdf(0, 1, v, v) is second
 
 
+def _meshgrid_pair_pdf(r, u, v):
+    """The copula pdf as the expression over two meshgrid copies of the grid."""
+    zz, ww = np.meshgrid(ndtri(np.asarray(u, dtype=float)), ndtri(np.asarray(v, dtype=float)),
+                         indexing="ij")
+    expo = -(r * r * (zz * zz + ww * ww) - 2.0 * r * zz * ww) / (2.0 * (1.0 - r * r))
+    return np.exp(expo) / np.sqrt(1.0 - r * r)
+
+
+_PDF_GRIDS = {
+    "equal": (midpoint_nodes(512), midpoint_nodes(512)),
+    "unequal": (midpoint_nodes(64), np.linspace(0.01, 0.99, 37)),
+    "tails": (np.array([0.0, 1e-300, 1e-20, 0.5, 1.0 - 1e-16, 1.0]), midpoint_nodes(8)),
+}
+
+
+@pytest.mark.parametrize("grid", list(_PDF_GRIDS))
+@pytest.mark.parametrize("r", [-0.5, -0.1, 1e-9, 0.3, 0.9, 0.99])
+def test_copula_pair_pdf_equals_meshgrid_expression_bitwise(r, grid):
+    # the pdf is built in place over broadcast z and w, each entry through the
+    # expression's operations in its order: the bits, signs and NaNs included
+    u, v = _PDF_GRIDS[grid]
+    with np.errstate(invalid="ignore"):  # inf - inf at the corners of "tails"
+        got = GaussianCopulaDensity(r=r).pair_pdf(0, 1, u, v)
+        want = _meshgrid_pair_pdf(r, u, v)
+    assert got.shape == want.shape == (len(u), len(v))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_copula_pair_pdf_cache_is_read_only_and_keys_on_r():
+    # the cached pdf is shared by every later call, so it cannot be written;
+    # r is a field, and a new r gets its own pdf
+    t = midpoint_nodes(16)
+    dens = GaussianCopulaDensity(r=0.5)
+    pdf = dens.pair_pdf(0, 1, t, t)
+    with pytest.raises(ValueError, match="read-only"):
+        pdf[0, 0] = 0.0
+    assert dens.pair_pdf(0, 1, t, t) is pdf
+    dens.r = 0.3
+    fresh = dens.pair_pdf(0, 1, t, t)
+    assert fresh is not pdf
+    assert np.array_equal(fresh, GaussianCopulaDensity(r=0.3).pair_pdf(0, 1, t, t))
+    assert np.array_equal(pdf, GaussianCopulaDensity(r=0.5).pair_pdf(0, 1, t, t))
+
+
 def test_copula_pair_pdf_matches_bivariate_normal():
     # [DERIVED] c(u,v) = phi_2(z,w;r) / (phi(z) phi(w)) at a spot value
     r = 0.4

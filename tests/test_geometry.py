@@ -5,9 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset, GaussianCopulaDensity,
-                    PopulationGeometry, TableDensity, UniformDensity, check_ric_chain,
-                    geometry_report, kappa_values, min_angle_cos, phi_2qstar,
+from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset, Density,
+                    GaussianCopulaDensity, PopulationGeometry, TableDensity, UniformDensity,
+                    check_ric_chain, geometry_report, kappa_values, min_angle_cos, phi_2qstar,
                     population_gram, rip_constant, select_exhaustive, sup_norm_ratio,
                     verify_angle_equivalence)
 from addsel import geometry
@@ -266,6 +266,22 @@ def test_sup_norm_kernel_equals_slab_loop_at_slab_edges(monkeypatch, J, g, slab_
     assert geometry._sup_norm_ratio(spec, G, J, g) == _slab_loop(spec, G, J, g)
 
 
+@pytest.mark.parametrize("size,slab_points", [
+    (5, None), (6, None), (7, None),  # the prefix spans the first 4, 5 and 5 axes
+    (5, 7), (5, 60), (5, 500),        # and 0, 1 and 2 axes, in slabs of 7, 56 and 448
+], ids=["default-5", "default-6", "default-7", "prefix-on-no-axis", "prefix-on-1-axis",
+        "prefix-on-2-axes"])
+def test_sup_norm_kernel_equals_slab_loop_from_a_prefix(monkeypatch, size, slab_points):
+    # at 8 points per axis the leading terms on the first p axes, 8^p <=
+    # SLAB_POINTS and p < |J|, are summed once and each slab starts from them;
+    # only the dropped 0.0 + of the old fresh sum differs, exact on any nonzero sum
+    if slab_points is not None:
+        monkeypatch.setattr(geometry, "SLAB_POINTS", slab_points)
+    spec, J = BasisSpec.create(7, (3, 5, 4, 6, 3, 5, 4)), list(range(size))
+    G = population_gram(spec, GaussianCopulaDensity(r=0.3), J)
+    assert geometry._sup_norm_ratio(spec, G, J, 8) == _slab_loop(spec, G, J, 8)
+
+
 def test_sup_norm_grid_summed_in_slabs_is_bitwise(monkeypatch):
     # the grid is summed in slabs of SLAB_POINTS points along its first axis;
     # every point adds the same terms in the same order, so the maximum is
@@ -390,14 +406,47 @@ def _phi_every_subset(spec, G, slices, qstar, grid_size):
     return best, grid
 
 
+@pytest.mark.parametrize("density,q,m", [
+    (TableDensity(tables={0: _TILT}), 5, 4),
+    (TableDensity(tables={4: _TILT}), 5, 4),
+    (GaussianCopulaDensity(r=0.3), 6, (5, 5, 5, 4, 4, 4)),
+    (UniformDensity(), 6, 4),
+], ids=["table-on-first", "table-on-last", "copula-mixed-m", "uniform"])
+def test_phi_memo_equals_every_subset(density, q, m):
+    # phi scores each distinct (G_J, m_J, g) once; the maximum and the grid
+    # sizes are those of a walk that scores every subset
+    spec = BasisSpec.create(q, m)
+    geo = PopulationGeometry(spec, density, 2)
+    G, slices = geo.gram
+    assert geo.phi(16) == _phi_every_subset(spec, G, slices, 2, 16)
+    assert phi_2qstar(spec, density, 2, grid_size=16) == geo.phi(16)[0]
+
+
+def test_phi_error_names_first_singular_subset():
+    # blocks 2 and 3 span one space: V_{2,3} is singular although neither
+    # block is; every other G_J is an identity, so the memo scores (0,),
+    # (0, 1) and then (2, 3), the J at which the every-subset walk stops too
+    spec, slices = BasisSpec.create(4, 3), block_slices([2, 2, 2, 2])
+    G = np.eye(8)
+    G[slices[2], slices[3]] = G[slices[3], slices[2]] = np.eye(2)
+    geo = PopulationGeometry(spec, Density(), 1)
+    geo.__dict__["gram"] = (G, slices)
+    assert geo.k == 4
+    with pytest.raises(SingularBlockError) as memo:
+        geo.phi(16)
+    with pytest.raises(SingularBlockError) as every:
+        _phi_every_subset(spec, G, slices, 1, 16)
+    assert memo.value.block == every.value.block == "V_J for J=[2, 3]"
+
+
 @pytest.mark.parametrize("law", ["copula-0.1", "copula0.3", "copula0.7", "uniform",
                                  "custom-density"])
 @pytest.mark.parametrize("q,qstar,m", [(6, 2, 4), (8, 2, 3), (5, 1, 6), (3, 2, 5)])
 def test_per_size_walk_equals_every_subset(law, q, qstar, m):
     # [DERIVED] under an exchangeable law with equal m every diagonal block is
     # one array and every cross block above the diagonal another, so G_J is
-    # the same array for every J of one size and (0..r-1) stands for size r;
-    # (3, 2, 5) has q <= 2 qstar
+    # the same array for every J of one size and phi's memo scores one subset
+    # per size; (3, 2, 5) has q <= 2 qstar
     density = {"copula-0.1": GaussianCopulaDensity(r=-0.1),
                "copula0.3": GaussianCopulaDensity(r=0.3),
                "copula0.7": GaussianCopulaDensity(r=0.7), "uniform": UniformDensity(),
@@ -405,22 +454,27 @@ def test_per_size_walk_equals_every_subset(law, q, qstar, m):
                                                       "design.table": _TILT, "q": q})}[law]
     spec = BasisSpec.create(q, m)
     geo = PopulationGeometry(spec, density, qstar)
-    assert geo.per_size
     G, slices = geo.gram
     assert geo.phi(16) == _phi_every_subset(spec, G, slices, qstar, 16)
     eps = epsilons_from_gram(G, slices[:geo.k], qstar)
     assert eps == epsilons_from_gram(G, slices, qstar)
 
 
-@pytest.mark.parametrize("density,m,per_size", [
-    (GaussianCopulaDensity(r=0.3), 4, True),
-    (TableDensity(tables={4: _TILT}), 4, False),
-    (GaussianCopulaDensity(r=0.5), (3, 3, 3, 3, 5), False),
+_MEMO_SCORED = [(0,), (4,), (0, 1), (0, 4), (0, 1, 2), (0, 1, 4), (0, 1, 2, 3), (0, 1, 2, 4)]
+
+
+@pytest.mark.parametrize("density,m,k,scored_subsets", [
+    (GaussianCopulaDensity(r=0.3), 4, 4, [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]),
+    (TableDensity(tables={4: _TILT}), 4, 5, _MEMO_SCORED),
+    (GaussianCopulaDensity(r=0.5), (3, 3, 3, 3, 5), 5, _MEMO_SCORED),
 ], ids=["copula", "table-on-last", "unequal-m"])
-def test_sup_norm_grids_scored_per_size_or_per_subset(monkeypatch, density, m, per_size):
-    # q = 5, qstar = 2: one grid per size 1..4 under the per-size walk, else
-    # one per subset, C(5,1) + ... + C(5,4) = 30; eps stacks every set of
-    # size 2..4 of the k leading blocks, 11 sets over k = 4, else 25 sets
+def test_sup_norm_grids_scored_per_size_or_per_subset(monkeypatch, density, m, k, scored_subsets):
+    # q = 5, qstar = 2: one grid per distinct (G_J, m_J, g), scored at its
+    # first J; the copula has one per size, and covariate 4 (tilted, or with
+    # m = 5) splits each size into the subsets with and without it, 8 grids
+    # where every subset would take C(5,1) + ... + C(5,4) = 30; eps stacks
+    # every set of size 2..4 of the k leading blocks, 11 sets over k = 4,
+    # else 25 sets
     scored, stacked = [], []
     score, chunks = geometry._sup_norm_ratio, geometry.block_column_chunks
 
@@ -436,15 +490,14 @@ def test_sup_norm_grids_scored_per_size_or_per_subset(monkeypatch, density, m, p
     monkeypatch.setattr(geometry, "_sup_norm_ratio", counting_score)
     monkeypatch.setattr(geometry, "block_column_chunks", counting_chunks)
     geo = PopulationGeometry(BasisSpec.create(5, m), density, 2)
-    assert geo.per_size == per_size
+    assert geo.k == k
     geo.phi(16)
     geo.epsilons()
-    if per_size:
-        assert scored == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
+    assert scored == scored_subsets
+    if k == 4:
         assert stacked == [J for J in subsets_up_to(4, 4) if len(J) >= 2]
     else:
-        assert scored == list(subsets_up_to(5, 4)) and len(scored) == 30
-        assert stacked == scored[5:]
+        assert stacked == list(subsets_up_to(5, 4))[5:]
 
 
 def test_geometry_report_reads_eps_through_one_public_call(monkeypatch):
