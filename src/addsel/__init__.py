@@ -29,7 +29,7 @@ try:
         geometry_report, kappa_values, min_angle_cos, phi_2qstar, \
         population_projection_gap, sup_norm_ratio, verify_angle_equivalence
     from .selection import Dataset, SelectionResult, empirical_projection_gap, project, \
-        project_norm_sq, select_exhaustive, select_greedy
+        project_norm_sq, select_exhaustive, select_greedy, select_on_blocks
     from .simulate import AdditiveModel, approximation_decay_experiment, \
         density_from_config, gen_model, gen_response, m_lower_bound, run_trials
 finally:

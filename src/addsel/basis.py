@@ -208,6 +208,12 @@ class DesignBlocks:
         return self.full_gram()[np.ix_(c, c)]
 
 
+def check_unit_interval(X):
+    """AddselError unless every entry of the design X lies in [0,1]."""
+    if np.any(X < 0.0) or np.any(X > 1.0):
+        raise AddselError("design entries must lie in [0,1]")
+
+
 def build_design_blocks(X, spec: BasisSpec) -> DesignBlocks:
     """The one builder of a scaled design: block j holds phi_k(x_ij)/sqrt(n), k = 2..m_j,
     so m_j = 1 leaves covariate j out (no columns, entries still range-checked)."""
@@ -216,8 +222,7 @@ def build_design_blocks(X, spec: BasisSpec) -> DesignBlocks:
         raise AddselError(f"design matrix must be n x {spec.q}")
     if X.shape[0] == 0:
         raise AddselError("design column must be a nonempty 1-d array")
-    if np.any(X < 0.0) or np.any(X > 1.0):
-        raise AddselError("design entries must lie in [0,1]")
+    check_unit_interval(X)
     if min(spec.m, default=1) < 1:
         raise AddselError(f"truncation level must be >= 1, got {min(spec.m)}")
     scale = np.sqrt(X.shape[0])

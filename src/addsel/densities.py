@@ -217,16 +217,20 @@ class GaussianCopulaDensity(Density):
     _pair_cache: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
-    independent = False
     uniform_marginals = True
     exchangeable = True
     c = 1.0
 
-    def __post_init__(self):
-        if not -1.0 < self.r < 1.0:
-            raise ConfigError(f"copula correlation must satisfy |r| < 1, got {self.r}")
-        if self.r == 0.0:
-            self.independent = True
+    def __setattr__(self, name, value):
+        # r is checked on every assignment, the one in __init__ included
+        if name == "r" and not -1.0 < value < 1.0:
+            raise ConfigError(f"copula correlation must satisfy |r| < 1, got {value}")
+        super().__setattr__(name, value)
+
+    @property
+    def independent(self):
+        """r = 0, read off r itself, so it follows every assignment to r."""
+        return self.r == 0.0
 
     def pair_pdf(self, j1, j2, u, v):
         r = self.r

@@ -7,12 +7,13 @@ from math import ceil, floor
 
 import numpy as np
 
-from .basis import BasisSpec, build_design_blocks, marginal_quadrature, trig_series
+from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, \
+    check_unit_interval, marginal_quadrature, trig_series
 from .config import DEFAULTS, fixed_m
 from .densities import Density
 from .errors import AddselError, AssumptionError, ConfigError
-from .selection import RANK_RTOL, Dataset, select_exhaustive
-from .simulate import AdditiveModel, density_from_config, gen_response, model_from_config
+from .selection import RANK_RTOL, Dataset, select_exhaustive, select_on_blocks
+from .simulate import AdditiveModel, add_noise, density_from_config, model_from_config
 
 #: bootstrap resamples of the reps behind rate_experiment's slope band
 N_BOOT = 200
@@ -42,40 +43,100 @@ def default_m_target(n_half: int, alpha: float) -> int:
     return max(1, int(ceil(n_half ** (1.0 / (2.0 * alpha + 1.0)))))
 
 
+def _half_and_level(n2: int, spec: BasisSpec, target: int, m_target, alpha):
+    """(n, m_target): the half-sample size of 2n rows and the target's level, by
+    default_m_target unless given; AddselError for an odd sample or a target
+    outside the q covariates."""
+    if n2 < 2 or n2 % 2:
+        raise AddselError(f"split-sample estimation needs an even sample size, got {n2}")
+    if not 0 <= target < spec.q:
+        raise AddselError(f"target covariate {target} out of range for q={spec.q}")
+    n = n2 // 2
+    return n, default_m_target(n, alpha) if m_target is None else m_target
+
+
+def _refit(blocks: dict, Y2, target: int) -> np.ndarray:
+    """The target's coefficients in one least-squares fit of Y2 / sqrt(n) on the
+    second-half blocks of J_fit (covariate -> scaled block, ascending).
+
+    One solve gives both the coefficients and the singular values of the rank
+    check; AddselError when the design is rank deficient.
+    """
+    A = np.concatenate(list(blocks.values()), axis=1)
+    coef, _, _, s = np.linalg.lstsq(A, Y2 / np.sqrt(len(Y2)), rcond=None)
+    if A.shape[1] > A.shape[0] or s[-1] <= RANK_RTOL * s[0]:
+        raise AddselError(
+            f"second-half design for J={tuple(blocks)} is rank deficient "
+            f"(smallest/largest singular value {s[-1]:.3e}/{s[0]:.3e}); "
+            "reduce m_target or increase n"
+        )
+    start = sum(B.shape[1] for j, B in blocks.items() if j < target)
+    return coef[start:start + blocks[target].shape[1]]
+
+
 def estimate_component(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: float,
                        target: int, m_target: int | None = None,
                        alpha: float = 2.0) -> ComponentEstimate:
     """Select on the first half, refit by least squares on the second half.
 
     The target covariate is always included in the refit set, at its own
-    (typically finer) truncation level m_target. One least-squares solve
-    gives both the coefficients and the singular values of the rank check.
+    (typically finer) truncation level m_target.
     """
-    n2 = dataset.n
-    if n2 < 2 or n2 % 2:
-        raise AddselError(f"split-sample estimation needs an even sample size, got {n2}")
-    if not 0 <= target < spec.q:
-        raise AddselError(f"target covariate {target} out of range for q={spec.q}")
-    n = n2 // 2
-    if m_target is None:
-        m_target = default_m_target(n, alpha)
+    n, m_target = _half_and_level(dataset.n, spec, target, m_target, alpha)
     first = Dataset(dataset.X[:n], dataset.Y[:n])
     result = select_exhaustive(first, spec, qstar, sigma2)
-    J_fit = tuple(sorted(set(result.chosen) | {target}))
+    J_fit = sorted(set(result.chosen) | {target})
 
     # m_j = 1 outside J_fit: those covariates get blocks without columns
     m_fit = [spec.m[j] if j in J_fit else 1 for j in range(spec.q)]
     m_fit[target] = max(m_target, 2)
     design = build_design_blocks(dataset.X[n:], BasisSpec.create(spec.q, m_fit))
-    A = design.concat(J_fit)
-    coef, _, _, s = np.linalg.lstsq(A, dataset.Y[n:] / np.sqrt(n), rcond=None)
-    if A.shape[1] > A.shape[0] or s[-1] <= RANK_RTOL * s[0]:
-        raise AddselError(
-            f"second-half design for J={J_fit} is rank deficient "
-            f"(smallest/largest singular value {s[-1]:.3e}/{s[0]:.3e}); "
-            "reduce m_target or increase n"
-        )
-    theta = coef[design.slices()[target]]
+    theta = _refit({j: design.blocks[j] for j in J_fit}, dataset.Y[n:], target)
+    return ComponentEstimate(target=target, coefficients=np.asarray(theta, dtype=float),
+                             selected=result.chosen, m_target=m_target, n_half=n)
+
+
+def _simulated_estimate(model: AdditiveModel, X, rng, spec: BasisSpec, qstar: int,
+                        sigma2: float, target: int, m_target: int | None,
+                        alpha: float) -> ComponentEstimate:
+    """``estimate_component(Dataset(X, gen_response(model, X, rng)), ...)`` bit for
+    bit, with each covariate's harmonics evaluated once.
+
+    Each covariate gets one unscaled basis_matrix table, on all 2n rows for the
+    active covariates and the target and on the first n rows for the others, as
+    wide as the response, the selection and the refit need. The response, the
+    first-half blocks and the second-half refit blocks are its slices, through
+    the reference path's operations in its order: a row slice or a column
+    prefix of basis_matrix(ks, x) is basis_matrix on that slice or prefix,
+    bitwise. Only a selected covariate that is neither active nor the target
+    is evaluated again, on the second half.
+    """
+    n, m_target = _half_and_level(len(X), spec, target, m_target, alpha)
+    check_unit_interval(X)
+    scale = np.sqrt(n)
+    m_fit = {j: spec.m[j] for j in model.J0}
+    m_fit[target] = max(m_target, 2)
+    f = np.zeros(2 * n)
+    first, second = [], {}
+    for j in range(spec.q):
+        theta_j = model.theta[j] if j in model.J0 else ()
+        width = max(spec.m[j], len(theta_j) + 1, m_fit.get(j, 1))
+        table = basis_matrix(np.arange(2, width + 1), X[:, j] if j in m_fit else X[:n, j])
+        if j in model.J0:
+            # gen_response's product: a contiguous (2n, len(theta_j)) matrix
+            f += np.ascontiguousarray(table[:, :len(theta_j)]) @ theta_j
+        first.append(table[:n, :spec.dim(j)] / scale)
+        if j in m_fit:
+            second[j] = table[n:, :m_fit[j] - 1] / scale
+        del table
+    Y = add_noise(model, f, rng)
+    Dataset(X, Y)  # refuses non-finite entries
+    result = select_on_blocks(DesignBlocks(first), Y[:n], spec, qstar, sigma2)
+    del first
+    blocks = {j: second[j] if j in second
+              else basis_matrix(spec.basis_indices(j), X[n:, j]) / scale
+              for j in sorted(set(result.chosen) | {target})}
+    theta = _refit(blocks, Y[n:], target)
     return ComponentEstimate(target=target, coefficients=np.asarray(theta, dtype=float),
                              selected=result.chosen, m_target=m_target, n_half=n)
 
@@ -172,10 +233,8 @@ def rate_experiment(cfg: dict):
                     J0[0] = target
                     model.J0 = tuple(sorted(J0))
                 X = density.sample(2 * n, cfg["q"], rng)
-                Y = gen_response(model, X, rng)
-                est = estimate_component(Dataset(X, Y), spec, cfg["qstar"],
-                                         cfg["sigma"] ** 2, target, m_target=m_t,
-                                         alpha=alpha)
+                est = _simulated_estimate(model, X, rng, spec, cfg["qstar"],
+                                          cfg["sigma"] ** 2, target, m_t, alpha)
                 risks[i, r] = component_risk(model, est, density)
             except AddselError:
                 errors += 1

@@ -153,14 +153,28 @@ def _better(candidate, incumbent):
     return (len(J_c), J_c) < (len(J_i), J_i)
 
 
-def select_exhaustive(dataset: Dataset, spec: BasisSpec, qstar: int,
-                      sigma2: float) -> SelectionResult:
-    """Argmax over all |J| <= qstar of |Pi_J Y|_n^2 - sigma^2 d_J / n."""
-    q = spec.q
+def _check_exhaustive_budget(q, qstar):
     check_budget(count_subsets_up_to(q, qstar, include_empty=True),
                  "exhaustive search over {count} subsets exceeds the budget {budget}; "
                  "consider select_greedy")
-    scorer = _SubsetScorer(build_design_blocks(dataset.X, spec), dataset.Y)
+
+
+def select_exhaustive(dataset: Dataset, spec: BasisSpec, qstar: int,
+                      sigma2: float) -> SelectionResult:
+    """Argmax over all |J| <= qstar of |Pi_J Y|_n^2 - sigma^2 d_J / n."""
+    # refused before any block is built
+    _check_exhaustive_budget(spec.q, qstar)
+    return select_on_blocks(build_design_blocks(dataset.X, spec), dataset.Y, spec, qstar,
+                            sigma2)
+
+
+def select_on_blocks(blocks: DesignBlocks, Y, spec: BasisSpec, qstar: int,
+                     sigma2: float) -> SelectionResult:
+    """``select_exhaustive`` on a scaled design already built for ``spec``: the
+    blocks of ``build_design_blocks(X, spec)`` and the response Y at the same rows."""
+    q = spec.q
+    _check_exhaustive_budget(q, qstar)
+    scorer = _SubsetScorer(blocks, Y)
     crit = {}
     best = (0.0, ())
     crit[()] = 0.0

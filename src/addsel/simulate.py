@@ -163,11 +163,15 @@ def gen_response(model: AdditiveModel, X, seed) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.q:
         raise AddselError(f"X must be n x {model.q}")
+    return add_noise(model, model.f_values(X), seed)
+
+
+def add_noise(model: AdditiveModel, f, seed) -> np.ndarray:
+    """f + sigma * z with z i.i.d. standard normal from ``seed``; f itself when sigma = 0."""
     rng = np.random.default_rng(seed)
-    Y = model.f_values(X)
     if model.sigma > 0.0:
-        Y = Y + model.sigma * rng.standard_normal(X.shape[0])
-    return Y
+        f = f + model.sigma * rng.standard_normal(len(f))
+    return f
 
 
 def m_lower_bound(Cj, Kj, qstar, eps_prime, cprime, rho, kappa, alpha_j) -> int:

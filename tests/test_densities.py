@@ -80,6 +80,26 @@ def test_copula_pair_pdf_cache_is_read_only_and_keys_on_r():
     assert np.array_equal(pdf, GaussianCopulaDensity(r=0.5).pair_pdf(0, 1, t, t))
 
 
+def test_copula_capabilities_follow_r():
+    # independence is read off r, so it follows an assignment to r, and every
+    # assignment is checked as the constructor's is
+    from addsel import BasisSpec, PopulationGeometry
+    spec = BasisSpec.create(4, 5)
+    dens = GaussianCopulaDensity(r=0.0)
+    assert dens.independent and PopulationGeometry(spec, dens, 1).rho() == 0.0
+    dens.r = 0.3
+    assert not dens.independent
+    rho = PopulationGeometry(spec, dens, 1).rho()
+    assert rho == PopulationGeometry(spec, GaussianCopulaDensity(r=0.3), 1).rho()
+    assert 0.18 < rho < 0.19
+    for bad in (1.5, -1.0, 1.0, float("nan")):
+        with pytest.raises(ConfigError, match=r"\|r\| < 1"):
+            dens.r = bad
+        with pytest.raises(ConfigError, match=r"\|r\| < 1"):
+            GaussianCopulaDensity(r=bad)
+    assert dens.r == 0.3
+
+
 def test_copula_pair_pdf_matches_bivariate_normal():
     # [DERIVED] c(u,v) = phi_2(z,w;r) / (phi(z) phi(w)) at a spot value
     r = 0.4

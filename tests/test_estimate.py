@@ -6,11 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from addsel import (AddselError, AssumptionError, BasisSpec, Dataset, UniformDensity,
-                    component_risk, default_m_target, estimate_component, gen_model,
-                    gen_response, rate_experiment, select_exhaustive)
-from addsel.estimate import _percentiles
-from addsel.simulate import AdditiveModel
+from addsel import (AddselError, AssumptionError, BasisSpec, Dataset, GaussianCopulaDensity,
+                    TableDensity, UniformDensity, component_risk, default_m_target,
+                    estimate_component, gen_model, gen_response, rate_experiment,
+                    select_exhaustive)
+from addsel.config import parse_config
+from addsel.estimate import _percentiles, _simulated_estimate
+from addsel.simulate import AdditiveModel, model_from_config
 
 
 def test_default_m_target_refuses_nonpositive_alpha():
@@ -235,3 +237,115 @@ def test_estimate_leaves_numpy_ma_unloaded(tmp_path):
     assert json.loads(proc.stdout) is False
     report = json.loads((tmp_path / "est.jsonl").read_text().splitlines()[-1])
     assert report["slope_band"] is not None
+
+
+TILT = 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)
+LAWS = {"uniform": UniformDensity(), "copula": GaussianCopulaDensity(r=0.3),
+        "table": TableDensity(tables={j: TILT for j in range(5)})}
+
+
+def _reference_fit(model, X, rng, spec, qstar, sigma2, target, m_target, alpha):
+    """rate_experiment's fit as first written: the response, then estimate_component."""
+    return estimate_component(Dataset(X, gen_response(model, X, rng)), spec, qstar,
+                              sigma2, target, m_target=m_target, alpha=alpha)
+
+
+def _noisy_fit_inputs(law, seed, n2=600, q=5, s=2):
+    model = gen_model(q=q, s=s, alpha=2.0, Kbound=40.0, kappa1_target=1.0, seed=seed,
+                      sigma=0.5)
+    X = LAWS[law].sample(n2, q, np.random.default_rng(seed + 1))
+    return model, X
+
+
+@pytest.mark.parametrize("m_target", [None, 7])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_simulated_estimate_equals_reference_fit_bitwise(law, m_target, monkeypatch):
+    # the table path against gen_response + estimate_component, with ==: the
+    # coefficients, the selected set, every first-half criterion and the risk;
+    # a target outside J0 too, and a penalty too small to keep inactive
+    # covariates out of the selection
+    from addsel import estimate, selection
+    criteria = []
+    select = selection.select_on_blocks
+
+    def recording(*args):
+        result = select(*args)
+        criteria.append(result.criterion)
+        return result
+
+    monkeypatch.setattr(selection, "select_on_blocks", recording)
+    monkeypatch.setattr(estimate, "select_on_blocks", recording)
+    for seed, sigma2, qstar, active in ((3, 0.25, 2, True), (8, 0.0, 3, True),
+                                        (11, 0.25, 2, False)):
+        model, X = _noisy_fit_inputs(law, seed)
+        target = model.J0[0] if active else \
+            next(j for j in range(model.q) if j not in model.J0)
+        spec = BasisSpec.create(model.q, 5)
+        args = (spec, qstar, sigma2, target, m_target, 2.0)
+        want = _reference_fit(model, X, np.random.default_rng(seed + 2), *args)
+        got = _simulated_estimate(model, X, np.random.default_rng(seed + 2), *args)
+        assert got.selected == want.selected
+        assert criteria.pop() == criteria.pop()
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert (got.target, got.m_target, got.n_half) == \
+            (want.target, want.m_target, want.n_half)
+        assert component_risk(model, got, LAWS[law]) == \
+            component_risk(model, want, LAWS[law])
+
+
+@pytest.mark.parametrize("m_target", [0, 7])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_rate_experiment_equals_reference_fit_bitwise(law, m_target, monkeypatch):
+    # the whole experiment, relabelled targets included (s = 2 of q = 4 leaves
+    # target 0 inactive in about half the reps), byte for byte
+    from addsel import estimate
+    law_keys = {"uniform": "", "copula": "design.kind = gaussian-copula\ndesign.r = 0.3\n",
+                "table": "design.kind = custom-density\ndesign.table = "
+                         + ", ".join(repr(float(v)) for v in TILT) + "\n"}[law]
+    cfg = parse_config(law_keys + "q = 4\ns = 2\nqstar = 2\nm_rule = fixed:5\n"
+                       f"target = 0\nm_target = {m_target}\nsigma = 0.4\nseed = 5\n"
+                       "n_grid = 64,128,256\nreps = 6\n")
+    got = rate_experiment(cfg)
+    monkeypatch.setattr(estimate, "_simulated_estimate", _reference_fit)
+    assert json.dumps(got) == json.dumps(rate_experiment(cfg))
+    # some reps draw J0 without the target, which is then relabelled active
+    children = np.random.SeedSequence(5).spawn(3 * 6)
+    assert any(0 not in model_from_config(cfg, np.random.default_rng(c)).J0
+               for c in children)
+
+
+def test_simulated_estimate_refuses_rank_deficiency_as_the_reference():
+    # more target columns than second-half rows: the same refusal, word for word
+    model, X = _noisy_fit_inputs("uniform", 3, n2=40, q=4)
+    spec = BasisSpec.create(4, 5)
+    args = (spec, 2, 0.04, model.J0[0], 60, 2.0)
+    with pytest.raises(AddselError, match="rank deficient") as want:
+        _reference_fit(model, X, np.random.default_rng(0), *args)
+    with pytest.raises(AddselError, match="rank deficient") as got:
+        _simulated_estimate(model, X, np.random.default_rng(0), *args)
+    assert str(got.value) == str(want.value)
+
+
+def test_simulated_estimate_evaluates_each_covariate_once(monkeypatch):
+    # one table per covariate (2n rows for J0 and the target, n for the rest),
+    # as wide as the response, the selection and the refit need, plus one
+    # second-half block per selected covariate outside J0 that is not the target
+    from addsel import estimate
+    model, X = _noisy_fit_inputs("uniform", 8, q=6, s=1)
+    n = len(X) // 2
+    target = model.J0[0]
+    spec = BasisSpec.create(6, 5)
+    args = (spec, 3, 0.0, target, 9, 2.0)
+    calls = []
+    original = estimate.basis_matrix
+    monkeypatch.setattr(estimate, "basis_matrix",
+                        lambda ks, x: calls.append((len(ks), len(x))) or original(ks, x))
+    got = _simulated_estimate(model, X, np.random.default_rng(9), *args)
+    want = _reference_fit(model, X, np.random.default_rng(9), *args)
+    assert got.selected == want.selected
+    assert np.array_equal(got.coefficients, want.coefficients)
+    extra = [j for j in got.selected if j not in model.J0 and j != target]
+    assert len(extra) == 2
+    width = max(len(model.theta[target]) + 1, 9) - 1
+    assert calls == [(width, 2 * n) if j == target else (4, n) for j in range(6)] + \
+        [(4, n)] * len(extra)
