@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,14 @@ QUAD_NODES_2D = 512
 #: call; the stack and its LAPACK workspace stay small instead of growing with
 #: the number of sets
 EIG_CHUNK = 64
+#: bytes a stack of principal submatrices stays below (one matrix at the
+#: least): glibc serves 128 KiB or more by mmap (mallopt(3),
+#: M_MMAP_THRESHOLD), so a larger stack, and each temporary of its size, would
+#: fault in fresh pages on every chunk; 40 matrices of 20 x 20 fit
+STACK_BYTES = 2 ** 17
+#: most bytes of basis_matrix's workspace per pass over the points, whatever
+#: the number of harmonics; below STACK_BYTES for the same reason
+BASIS_WORKSPACE = 2 ** 16
 
 
 def eval_basis(k: int, x: float) -> float:
@@ -39,33 +47,68 @@ def eval_basis(k: int, x: float) -> float:
     return float(out) if np.isscalar(x) else out
 
 
-def basis_matrix(ks, x):
-    """Matrix of phi_k(x_i), shape (len(x), len(ks)). No domain checks.
+def basis_matrix(ks, x, out=None):
+    """Matrix of phi_k(x_i), shape (len(x), len(ks)), written into ``out`` when
+    given (any float array of that shape, a column view included). No domain checks.
 
     Harmonic h is z^h with z = exp(2 pi i x), grown by complex multiplication
     from one cos and one sin call per point: the h = 1 columns equal
     sqrt(2) cos(2 pi x) and sqrt(2) sin(2 pi x) bitwise, and harmonic h is off
     direct evaluation by about h ulp, the size of the argument rounding of
     cos(2 pi h x).
+
+    The points go in passes whose workspace stays within BASIS_WORKSPACE bytes
+    whatever the number of harmonics: each harmonic is written to its columns
+    as soon as it is formed, so a pass holds z and two harmonics. Every value
+    goes through the same elementwise operations, on arrays of the same
+    layout, as in one pass over all points.
     """
     x = np.asarray(x, dtype=float)
     ks = np.asarray(ks, dtype=int)
-    out = np.empty((len(x), len(ks)))
+    if out is None:
+        out = np.empty((len(x), len(ks)))
+    elif out.shape != (len(x), len(ks)):
+        raise AddselError(f"basis_matrix out= has shape {out.shape}, "
+                          f"not {(len(x), len(ks))}")
     H = int(ks.max(initial=1)) // 2
-    z = np.empty((H, len(x)), dtype=complex)
-    if H:
-        t = 2.0 * np.pi * x
-        z[0].real = np.cos(t)
-        z[0].imag = np.sin(t)
-    for h in range(1, H):
-        np.multiply(z[h - 1], z[0], out=z[h])
-    # row h - 1 holds harmonic h: cos(2 pi h x) in .real, sin(2 pi h x) in .imag
-    cos_sin = (z.real, z.imag)
+    # harmonic h's columns as (column, 0 for cos(2 pi h x) or 1 for sin)
+    columns = [[] for _ in range(H + 1)]
     for c, k in enumerate(ks.tolist()):
         if k == 1:
             out[:, c] = 1.0
         else:
-            np.multiply(cos_sin[k % 2][k // 2 - 1], np.sqrt(2.0), out=out[:, c])
+            columns[k // 2].append((c, k % 2))
+    if not H or not len(x):
+        return out
+    # three complex rows per point: z, and harmonics h >= 2 in turn in the
+    # other two, each from the one before (an in-place product is not always
+    # bitwise); until z is set they hold 2 pi x, its cos and its sin
+    rows = min(len(x), BASIS_WORKSPACE // (3 * 16))
+    work = np.empty((3, rows), dtype=complex)
+    sqrt2 = np.sqrt(2.0)
+
+    def views(r):
+        z = work[:, :r]
+        a, b = z[1].view(float), z[2].view(float)
+        return z, [(w.real, w.imag) for w in z], a[:r], a[r:], b[:r]
+
+    full = views(rows)
+    for lo in range(0, len(x), rows):
+        r = min(rows, len(x) - lo)
+        z, parts, t, cos, sin = full if r == rows else views(r)
+        np.multiply(x[lo:lo + r], 2.0 * np.pi, t)
+        np.cos(t, cos)
+        np.sin(t, sin)
+        np.copyto(parts[0][0], cos)
+        np.copyto(parts[0][1], sin)
+        block = out[lo:lo + r]
+        row = 0
+        for h in range(1, H + 1):
+            if h > 1:
+                prev, row = row, 1 + h % 2
+                np.multiply(z[prev], z[0], z[row])
+            for c, part in columns[h]:
+                np.multiply(parts[row][part], sqrt2, block[:, c])
     return out
 
 
@@ -130,8 +173,15 @@ def _ranges(starts, lengths):
     return np.arange(ends[-1]) + np.repeat(starts + lengths - ends, lengths)
 
 
+def chunk_rows(d):
+    """Matrices per stack of d x d principal submatrices: at most EIG_CHUNK, and
+    fewer where the stack would reach STACK_BYTES (one at the least)."""
+    return max(1, min(EIG_CHUNK, (STACK_BYTES - 1) // (8 * d * d)))
+
+
 def block_column_chunks(slices, block_sets):
-    """Ascending block sets grouped by column count, in chunks of at most EIG_CHUNK.
+    """Ascending block sets grouped by column count, in chunks of chunk_rows(d) for
+    d columns (at most EIG_CHUNK, and below STACK_BYTES as a stack of d x d).
 
     Yields (members, cols): members are (position in ``block_sets``, set)
     pairs, ascending within the chunk; cols is the (k, d) array of their
@@ -149,8 +199,9 @@ def block_column_chunks(slices, block_sets):
     # np.unique would import numpy.ma, about 0.3 MB more peak memory per run
     for d in sorted(set(counts.tolist()) - {0}):
         group = np.flatnonzero(counts == d)
-        for lo in range(0, len(group), EIG_CHUNK):
-            pos = group[lo:lo + EIG_CHUNK]
+        step = chunk_rows(d)
+        for lo in range(0, len(group), step):
+            pos = group[lo:lo + step]
             blocks = flat[_ranges(first[pos], sizes[pos])]
             cols = _ranges(starts[blocks], widths[blocks]).reshape(len(pos), d)
             yield [(p, sets[p]) for p in pos.tolist()], cols
@@ -161,41 +212,52 @@ def principal_submatrices(G, cols):
     return G[cols[:, :, None], cols[:, None, :]]
 
 
-@dataclass
 class DesignBlocks:
-    """Per-covariate scaled design matrices A_j, concatenated in ascending j."""
+    """The scaled design A = [A_1 ... A_q] of one dataset: one C-contiguous
+    n x d matrix, with each block A_j (ascending j) a column view of it."""
 
-    blocks: list
-    _full_gram: np.ndarray | None = field(default=None, init=False, repr=False,
-                                          compare=False)
+    def __init__(self, blocks):
+        """The design of a list of n-row blocks, concatenated once."""
+        blocks = list(blocks)
+        self._adopt(np.concatenate(blocks, axis=1), [b.shape[1] for b in blocks])
+
+    @classmethod
+    def from_matrix(cls, A, dims) -> "DesignBlocks":
+        """The design whose blocks are A's consecutive column slices of the given
+        widths; A (C-contiguous, n x sum(dims)) is kept, not copied."""
+        design = cls.__new__(cls)
+        design._adopt(A, dims)
+        return design
+
+    def _adopt(self, A, dims):
+        self.A = A
+        self._slices = block_slices(dims)
+        self.blocks = [A[:, sl] for sl in self._slices]
+        self._full_gram = None
 
     @property
     def n(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.A.shape[0]
 
     @property
     def q(self) -> int:
         return len(self.blocks)
 
     def dims(self):
-        return [b.shape[1] for b in self.blocks]
+        return [sl.stop - sl.start for sl in self._slices]
 
     def concat(self, J) -> np.ndarray:
-        """Column concatenation A_J over sorted subset J."""
-        J = sorted(J)
-        if not J:
-            return np.empty((self.n, 0))
-        return np.concatenate([self.blocks[j] for j in J], axis=1)
+        """Column concatenation A_J over sorted subset J, a C-contiguous copy."""
+        return self.A.take(block_columns(self._slices, J), axis=1)
 
     def slices(self):
-        """Column slice of each block A_j in the full concatenation."""
-        return block_slices(self.dims())
+        """Column slice of each block A_j in A."""
+        return list(self._slices)
 
     def full_gram(self) -> np.ndarray:
         """A^T A over all q blocks, formed on first use and kept."""
         if self._full_gram is None:
-            A = self.concat(range(self.q))
-            self._full_gram = A.T @ A
+            self._full_gram = self.A.T @ self.A
         return self._full_gram
 
     def gram(self, J) -> np.ndarray:
@@ -204,8 +266,8 @@ class DesignBlocks:
         No caller in the library; kept because the benchmark's per-layer
         tracer (perfbench/tracer.py) wraps this method by name.
         """
-        c = block_columns(self.slices(), J)
-        return self.full_gram()[np.ix_(c, c)]
+        c = block_columns(self._slices, J)
+        return self.full_gram().take(c, axis=0).take(c, axis=1)
 
 
 def check_unit_interval(X):
@@ -225,9 +287,12 @@ def build_design_blocks(X, spec: BasisSpec) -> DesignBlocks:
     check_unit_interval(X)
     if min(spec.m, default=1) < 1:
         raise AddselError(f"truncation level must be >= 1, got {min(spec.m)}")
-    scale = np.sqrt(X.shape[0])
-    return DesignBlocks([basis_matrix(spec.basis_indices(j), X[:, j]) / scale
-                         for j in range(spec.q)])
+    dims = [spec.dim(j) for j in range(spec.q)]
+    A = np.empty((X.shape[0], sum(dims)))
+    for j, sl in enumerate(block_slices(dims)):
+        basis_matrix(spec.basis_indices(j), X[:, j], out=A[:, sl])
+    A /= np.sqrt(X.shape[0])
+    return DesignBlocks.from_matrix(A, dims)
 
 
 def midpoint_nodes(n):

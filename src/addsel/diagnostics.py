@@ -301,6 +301,9 @@ def diagnose(cfg: dict) -> dict:
         n_subsets = len(subsets)
     delta_hat = rip_constant(blocks, qstar, J0=model.J0, subsets=subsets)
     geo = PopulationGeometry(spec, density, qstar)
+    # event E reads the Gram of all q blocks: built before rho, so rho slices it
+    # instead of building the Gram of its leading blocks as well
+    G_pop, slices = (None, None) if geo.identity else geo.gram
     rho = geo.rho()
     kappa, kappa_l = kappa_values(model, density)
     if geo.identity:
@@ -308,7 +311,6 @@ def diagnose(cfg: dict) -> dict:
         # and its largest deviation is the RIP constant over the same unions
         max_dev = delta_hat
     else:
-        G_pop, slices = geo.gram
         _, max_dev = event_E_from_grams(blocks.full_gram(), G_pop, slices, qstar,
                                         model.J0, delta, subsets=subsets)
     holds_A = event_A_check(X, model, spec, density, rho, kappa, cprime)

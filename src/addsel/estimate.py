@@ -105,7 +105,8 @@ def _simulated_estimate(model: AdditiveModel, X, rng, spec: BasisSpec, qstar: in
     Each covariate gets one unscaled basis_matrix table, on all 2n rows for the
     active covariates and the target and on the first n rows for the others, as
     wide as the response, the selection and the refit need. The response, the
-    first-half blocks and the second-half refit blocks are its slices, through
+    first-half blocks (written into one first-half design matrix) and the
+    second-half refit blocks are its slices, through
     the reference path's operations in its order: a row slice or a column
     prefix of basis_matrix(ks, x) is basis_matrix on that slice or prefix,
     bitwise. Only a selected covariate that is neither active nor the target
@@ -117,7 +118,9 @@ def _simulated_estimate(model: AdditiveModel, X, rng, spec: BasisSpec, qstar: in
     m_fit = {j: spec.m[j] for j in model.J0}
     m_fit[target] = max(m_target, 2)
     f = np.zeros(2 * n)
-    first, second = [], {}
+    dims = [spec.dim(j) for j in range(spec.q)]
+    first = DesignBlocks.from_matrix(np.empty((n, sum(dims))), dims)
+    second = {}
     for j in range(spec.q):
         theta_j = model.theta[j] if j in model.J0 else ()
         width = max(spec.m[j], len(theta_j) + 1, m_fit.get(j, 1))
@@ -125,13 +128,13 @@ def _simulated_estimate(model: AdditiveModel, X, rng, spec: BasisSpec, qstar: in
         if j in model.J0:
             # gen_response's product: a contiguous (2n, len(theta_j)) matrix
             f += np.ascontiguousarray(table[:, :len(theta_j)]) @ theta_j
-        first.append(table[:n, :spec.dim(j)] / scale)
+        np.divide(table[:n, :dims[j]], scale, out=first.blocks[j])
         if j in m_fit:
             second[j] = table[n:, :m_fit[j] - 1] / scale
         del table
     Y = add_noise(model, f, rng)
     Dataset(X, Y)  # refuses non-finite entries
-    result = select_on_blocks(DesignBlocks(first), Y[:n], spec, qstar, sigma2)
+    result = select_on_blocks(first, Y[:n], spec, qstar, sigma2)
     del first
     blocks = {j: second[j] if j in second
               else basis_matrix(spec.basis_indices(j), X[n:, j]) / scale

@@ -323,18 +323,28 @@ class PopulationGeometry:
         """(G, slices) of all q blocks, built on first use."""
         return full_block_gram(self.spec, self.density)
 
+    @cached_property
     def _leading(self):
+        """(G, slices) that rho, eps and phi read: the first k slices of ``gram``
+        when k = q or ``gram`` is built already, else the Gram of the first k
+        blocks alone, built on first use; it equals the top-left block of the
+        full Gram bit for bit, since every block of an exchangeable law is
+        computed from one covariate or one pair standing for all."""
+        if self.k < self.spec.q and "gram" not in vars(self):
+            k_blocks = range(self.k)
+            return (population_gram(self.spec, self.density, k_blocks),
+                    block_slices([self.spec.dim(j) for j in k_blocks]))
         G, slices = self.gram
         return G, slices[:self.k]
 
     def rho(self) -> float:
-        return 0.0 if self.identity else rho_from_gram(*self._leading(), self.qstar)
+        return 0.0 if self.identity else rho_from_gram(*self._leading, self.qstar)
 
     def epsilons(self):
         """(eps_2qstar, eps_prime_qstar)."""
         if self.identity:
             return 0.0, 0.0
-        return epsilons_from_gram(*self._leading(), self.qstar)
+        return epsilons_from_gram(*self._leading, self.qstar)
 
     def phi(self, grid_size=GRID_SIZE):
         """(phi_2qstar, {|J|: points per axis of its grid}) over every subset J of
@@ -342,7 +352,7 @@ class PopulationGeometry:
         the m_j of J and the grid size alone, so each distinct (G_J, m_J, g) is
         scored once, at its first J in enumeration order: equal inputs give equal
         bits, and a singular G_J is named by the same J as a walk scoring each."""
-        G, slices = self._leading()
+        G, slices = self._leading
         size = min(2 * self.qstar, self.k)
         check_budget(count_subsets_up_to(self.k, size), "subset enumeration exceeds budget")
         best, grid, scored = 0.0, {}, {}
@@ -351,7 +361,7 @@ class PopulationGeometry:
                 continue
             grid[len(J)] = g = _grid_points(len(J), grid_size)
             c = block_columns(slices, J)
-            GJ = G[np.ix_(c, c)]
+            GJ = G.take(c, axis=0).take(c, axis=1)
             key = (GJ.tobytes(), tuple(self.spec.m[j] for j in J), g)
             if key not in scored:
                 scored[key] = _sup_norm_ratio(self.spec, GJ, list(J), g)

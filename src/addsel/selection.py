@@ -25,6 +25,10 @@ CHOL_PIVOT_RATIO = 0.1
 #: documented |J|-then-lexicographic order picks between subsets whose values
 #: agree in exact arithmetic (two J spanning one space) instead of rounding
 TIE_RTOL = 1e-12
+#: blocks with fewer columns are copied out of the design matrix before
+#: A_j^T Y: OpenBLAS sums a strided view of one to three columns in another
+#: order than the block on its own, and the copy keeps b bitwise
+NARROW_BLOCK = 4
 
 
 @dataclass
@@ -113,14 +117,16 @@ class _SubsetScorer:
         self.Y = Y
         self.n = blocks.n
         self.G = blocks.full_gram()
-        self.b = np.concatenate([B.T @ Y for B in blocks.blocks])
+        self.b = np.concatenate([(B if B.shape[1] >= NARROW_BLOCK else B.copy()).T @ Y
+                                 for B in blocks.blocks])
         self.slices = blocks.slices()
 
     def norm_sq(self, J) -> float:
         c = block_columns(self.slices, J)
         if len(c) == 0:
             return 0.0
-        L = _trusted_cholesky(self.G[np.ix_(c, c)]) if len(c) <= self.n else None
+        L = _trusted_cholesky(self.G.take(c, axis=0).take(c, axis=1)) \
+            if len(c) <= self.n else None
         if L is None:
             return project_norm_sq(self.blocks.concat(J), self.Y)
         z = np.linalg.solve(L, self.b[c])

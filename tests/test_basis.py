@@ -264,3 +264,110 @@ def test_population_gram_memo_is_the_per_pair_build(make, m, monkeypatch):
     ref = population_gram(spec, density, range(4))
     assert len(calls) == len(set(spec.m)) + 4
     assert G.tobytes() == ref.tobytes()
+
+
+def _one_pass_basis(ks, x):
+    """basis_matrix as one pass over all points: every harmonic of every point
+    held at once, each column written from its harmonic's row."""
+    ks = np.asarray(ks, dtype=int)
+    out = np.empty((len(x), len(ks)))
+    H = int(ks.max(initial=1)) // 2
+    z = np.empty((H, len(x)), dtype=complex)
+    if H:
+        t = 2.0 * np.pi * x
+        z[0].real = np.cos(t)
+        z[0].imag = np.sin(t)
+    for h in range(1, H):
+        np.multiply(z[h - 1], z[0], out=z[h])
+    for c, k in enumerate(ks.tolist()):
+        out[:, c] = 1.0 if k == 1 else np.sqrt(2.0) * (z.imag if k % 2 else z.real)[k // 2 - 1]
+    return out
+
+
+def _pass_rows():
+    from addsel import basis
+    return basis.BASIS_WORKSPACE // 48
+
+
+@pytest.mark.parametrize("n", ["zero", "one", "budget-1", "budget", "budget+1", "3 budget+7"])
+@pytest.mark.parametrize("ks", [np.arange(2, 8), np.arange(1, 40), [1], [9, 1, 2, 17, 3, 3, 40]],
+                         ids=["m7", "m39-with-phi1", "phi1-only", "permuted"])
+def test_basis_matrix_passes_equal_one_pass(n, ks):
+    # the points go in passes of BASIS_WORKSPACE // 48 rows; every value takes
+    # the same elementwise operations as in one pass, so the matrices are equal
+    rows = _pass_rows()
+    size = {"zero": 0, "one": 1, "budget-1": rows - 1, "budget": rows,
+            "budget+1": rows + 1, "3 budget+7": 3 * rows + 7}[n]
+    x = np.random.default_rng(size).random(size)
+    B = basis_matrix(ks, x)
+    assert B.shape == (size, len(ks)) and B.flags["C_CONTIGUOUS"]
+    assert np.array_equal(B, _one_pass_basis(ks, x))
+
+
+def test_basis_matrix_writes_into_a_column_view():
+    # out= may be a strided column slice; it receives the fresh result's bits
+    x = np.random.default_rng(3).random(3 * _pass_rows() + 5)
+    ks = np.array([4, 2, 1, 7, 3])
+    A = np.full((len(x), 9), -1.0)
+    assert basis_matrix(ks, x, out=A[:, 2:7]) is not None
+    assert np.array_equal(A[:, 2:7], basis_matrix(ks, x))
+    assert np.all(A[:, :2] == -1.0) and np.all(A[:, 7:] == -1.0)
+    with pytest.raises(AddselError):
+        basis_matrix(ks, x, out=A[:, :4])
+
+
+def test_basis_matrix_workspace_is_bounded(monkeypatch):
+    # at 16384 x 6 a one-pass workspace takes 0.8 MB (three harmonics) plus
+    # three 128 KiB arrays of points; in passes only BASIS_WORKSPACE does
+    import tracemalloc
+    from addsel import basis
+    x = np.random.default_rng(5).random(16384)
+    ks = np.arange(2, 8)
+    tracemalloc.start()
+    try:
+        B = basis_matrix(ks, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.BASIS_WORKSPACE <= 1 << 16
+    assert peak <= B.nbytes + basis.BASIS_WORKSPACE + 4096
+    # a smaller budget only means more passes
+    monkeypatch.setattr(basis, "BASIS_WORKSPACE", 48 * 7)
+    assert np.array_equal(basis_matrix(ks, x[:100]), B[:100])
+
+
+def _block_list_design(X, spec):
+    """The design as separately built blocks, each basis_matrix / sqrt(n)."""
+    n = X.shape[0]
+    return [basis_matrix(spec.basis_indices(j), X[:, j]) / np.sqrt(n) for j in range(spec.q)]
+
+
+def test_design_blocks_are_views_of_one_matrix():
+    from addsel.basis import DesignBlocks, block_columns
+    rng = np.random.default_rng(8)
+    spec = BasisSpec.create(5, (4, 1, 7, 2, 5))
+    X = rng.random((300, 5))
+    Y = rng.standard_normal(300)
+    design = build_design_blocks(X, spec)
+    blocks = _block_list_design(X, spec)
+    assert design.A.flags["C_CONTIGUOUS"] and design.A.shape == (300, 14)
+    assert design.dims() == [3, 0, 6, 1, 4] and design.q == 5 and design.n == 300
+    for B, ref in zip(design.blocks, blocks):
+        assert B.base is design.A
+        assert np.array_equal(B, ref)
+    # B^T Y on a view of four or more columns equals it on the separate block
+    # (the subset scorer copies narrower blocks first)
+    assert np.array_equal(design.blocks[2].T @ Y, blocks[2].T @ Y)
+    assert np.array_equal(design.blocks[4].T @ Y, blocks[4].T @ Y)
+    for J in [(), (0,), (2, 0), (1,), (4, 1, 3), range(5)]:
+        got = design.concat(J)
+        ref = np.concatenate([blocks[j] for j in sorted(J)] or [np.empty((300, 0))], axis=1)
+        assert got.flags["C_CONTIGUOUS"] and np.array_equal(got, ref)
+    full = np.concatenate(blocks, axis=1)
+    assert np.array_equal(design.full_gram(), full.T @ full)
+    c = block_columns(design.slices(), (0, 3, 4))
+    assert np.array_equal(design.gram((4, 0, 3)), (full.T @ full)[np.ix_(c, c)])
+    # the list constructor concatenates once, to the same matrix
+    listed = DesignBlocks(blocks)
+    assert np.array_equal(listed.A, design.A) and listed.dims() == design.dims()
+    assert all(B.base is listed.A for B in listed.blocks)

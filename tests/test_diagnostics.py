@@ -791,3 +791,34 @@ def test_factorizes_equals_per_matrix_cholesky(k, failing):
     expected = [_cholesky_succeeds(a) for a in A]
     assert expected == (~fail).tolist()
     assert _factorizes(A).tolist() == expected
+
+
+def test_union_stacks_stay_below_the_byte_bound():
+    # stacks of d x d principal submatrices (and each temporary of their
+    # size) stay below STACK_BYTES, where glibc would mmap them afresh per
+    # chunk: diagnose-wide's 20-column unions go 40 to a stack, 30-column
+    # unions 18, and a matrix beyond the bound alone
+    from addsel.basis import STACK_BYTES, chunk_rows
+    for width, q, qstar, J0 in ((4, 40, 3, (0, 1)), (6, 12, 3, (2, 5)), (2, 30, 2, ())):
+        slices = block_slices([width] * q)
+        chunks = list(block_column_chunks(slices, union_collection(q, qstar, J0)))
+        assert max(8 * cols.size * cols.shape[1] for _, cols in chunks) < STACK_BYTES
+        assert all(len(members) <= chunk_rows(cols.shape[1]) for members, cols in chunks)
+        widest = max(cols.shape[1] for _, cols in chunks)
+        assert any(len(members) == chunk_rows(widest) for members, cols in chunks
+                   if cols.shape[1] == widest)
+    assert chunk_rows(20) == 40 and chunk_rows(30) == 18
+    assert chunk_rows(8) == EIG_CHUNK and chunk_rows(200) == 1
+
+
+@pytest.mark.parametrize("law", ["uniform", "copula"])
+def test_union_walk_is_bitwise_under_the_byte_bound(law, monkeypatch):
+    # batched LAPACK factors each matrix on its own, so stacks cut by bytes
+    # (28 of 24 columns here) give the maximum of uncut stacks of EIG_CHUNK
+    from addsel import basis
+    G_emp, G_pop, slices = _law_grams(law, 7, seed=51, q=10, n=120)
+    assert basis.chunk_rows(24) < EIG_CHUNK
+    capped = event_E_from_grams(G_emp, G_pop, slices, 3, (4,), 0.5)
+    monkeypatch.setattr(basis, "STACK_BYTES", 1 << 40)
+    assert basis.chunk_rows(24) == EIG_CHUNK
+    assert event_E_from_grams(G_emp, G_pop, slices, 3, (4,), 0.5) == capped

@@ -189,7 +189,7 @@ def test_estimate_component_refits_only_J_fit_bitwise(law, monkeypatch):
     columns = []
     original = basis.basis_matrix
     monkeypatch.setattr(basis, "basis_matrix",
-                        lambda ks, x: columns.append(len(ks)) or original(ks, x))
+                        lambda ks, x, **kw: columns.append(len(ks)) or original(ks, x, **kw))
     est = estimate_component(ds, spec, 2, 0.09, target, m_target=7)
     assert est.selected == chosen
     assert np.array_equal(est.coefficients, coef)

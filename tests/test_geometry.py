@@ -746,3 +746,52 @@ def test_zero_width_block_leaves_rho_and_eps_unchanged(r, qstar):
     assert padded.epsilons() == plain.epsilons()
     alone = PopulationGeometry(BasisSpec.create(2, (5, 1)), density, qstar)
     assert alone.rho() == 0.0 and alone.epsilons() == (0.0, 0.0)
+
+
+class _ExchangeableTilt(Density):
+    """Independent covariates, each with the same tilted marginal: exchangeable,
+    not the identity law."""
+
+    independent = exchangeable = True
+
+    def marginal_pdf(self, j, x):
+        return 1.0 + 0.8 * np.cos(2 * np.pi * np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("density", [GaussianCopulaDensity(r=0.3), GaussianCopulaDensity(r=-0.1),
+                                     GaussianCopulaDensity(r=0.7), _ExchangeableTilt()],
+                         ids=["copula0.3", "copula-0.1", "copula0.7", "tilt"])
+def test_leading_gram_is_the_full_grams_top_left_block(density, monkeypatch):
+    # under an exchangeable law with one m, rho, eps and phi read the first
+    # k = 2 qstar blocks: their Gram is built alone, equal to the top-left block
+    # of the full Gram bit for bit, and so is every value read off it
+    spec, qstar = BasisSpec.create(12, 5), 2
+    G, slices = full_block_gram(spec, density)
+    full = PopulationGeometry(spec, density, qstar)
+    full.__dict__["gram"] = (G, slices)
+    expected = (full.rho(), full.epsilons(), full.phi(16))
+    monkeypatch.setattr(geometry, "full_block_gram", lambda *a: pytest.fail("full Gram built"))
+    geo = PopulationGeometry(spec, density, qstar)
+    assert geo.k == 4
+    G_k, slices_k = geo._leading
+    d = slices_k[-1].stop
+    assert slices_k == slices[:4] and G_k.shape == (d, d)
+    assert np.array_equal(G_k, G[:d, :d])
+    assert (geo.rho(), geo.epsilons(), geo.phi(16)) == expected
+    assert "gram" not in vars(geo)
+
+
+def test_diagnose_builds_no_leading_gram_beside_the_full_one(monkeypatch):
+    # diagnose reads the full Gram for event E; rho (k = 4 of q = 8 blocks)
+    # slices it instead of building the Gram of the leading blocks too, so the
+    # only other population Gram is kappa's on J0
+    from addsel import diagnostics
+    from addsel.config import DEFAULTS
+    built = []
+    build = geometry.population_gram
+    monkeypatch.setattr(geometry, "population_gram",
+                        lambda spec, density, J: built.append(list(J)) or build(spec, density, J))
+    cfg = {**DEFAULTS, **_COPULA_DIAGNOSE}
+    diagnostics.diagnose(cfg)
+    assert PopulationGeometry(BasisSpec.create(8, 5), GaussianCopulaDensity(r=0.3), 2).k == 4
+    assert [len(J) for J in built] == [cfg["s"]]

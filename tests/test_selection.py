@@ -262,3 +262,38 @@ def test_exact_ties_fall_to_size_then_lexicographic_order():
     assert abs(crit[(0, 1)] - crit[(1, 2)]) <= 1e-14
     assert res.chosen == (0, 1)
     assert chosen == (0, 1)
+
+
+@pytest.mark.parametrize("n", [5, 64, 800])
+def test_scorer_right_hand_side_equals_separate_blocks(n):
+    # b = (A_j^T Y)_j off the one design matrix equals it off separately built
+    # blocks, bit for bit, at every block width (narrow blocks are copied)
+    rng = np.random.default_rng(n)
+    m = tuple(range(2, 15))  # widths 1 .. 13
+    spec = BasisSpec.create(len(m), m)
+    X, Y = rng.random((n, len(m))), rng.standard_normal(n)
+    design = build_design_blocks(X, spec)
+    separate = [np.ascontiguousarray(B) for B in design.blocks]
+    assert np.array_equal(_SubsetScorer(design, Y).b,
+                          np.concatenate([B.T @ Y for B in separate]))
+
+
+def test_select_on_blocks_memory_peak_is_the_gram():
+    # the scorer reads the Gram of the one design matrix: no n x d copy of
+    # the design (1.8 MB here) is made beside it, and a subset's rows of the
+    # Gram (d_J x d, 157 KB at d_J = 70) are the largest temporary
+    import tracemalloc
+    from addsel.selection import select_on_blocks
+    rng = np.random.default_rng(36)
+    spec = BasisSpec.create(8, 36)
+    design = build_design_blocks(rng.random((800, 8)), spec)
+    Y = rng.standard_normal(800)
+    tracemalloc.start()
+    try:
+        select_on_blocks(design, Y, spec, 2, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gram = design.full_gram().nbytes
+    assert gram == 280 * 280 * 8 and design.A.nbytes == 800 * 280 * 8
+    assert peak <= gram + (256 << 10)
