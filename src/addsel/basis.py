@@ -49,7 +49,8 @@ def eval_basis(k: int, x: float) -> float:
 
 def basis_matrix(ks, x, out=None):
     """Matrix of phi_k(x_i), shape (len(x), len(ks)), written into ``out`` when
-    given (any float array of that shape, a column view included). No domain checks.
+    given (any float array of that shape, a column view included). Every k must
+    be >= 1; x is not checked.
 
     Harmonic h is z^h with z = exp(2 pi i x), grown by complex multiplication
     from one cos and one sin call per point: the h = 1 columns equal
@@ -65,6 +66,8 @@ def basis_matrix(ks, x, out=None):
     """
     x = np.asarray(x, dtype=float)
     ks = np.asarray(ks, dtype=int)
+    if ks.min(initial=1) < 1:
+        raise AddselError(f"basis index must be >= 1, got {ks.min()}")
     if out is None:
         out = np.empty((len(x), len(ks)))
     elif out.shape != (len(x), len(ks)):
@@ -80,35 +83,23 @@ def basis_matrix(ks, x, out=None):
             columns[k // 2].append((c, k % 2))
     if not H or not len(x):
         return out
-    # three complex rows per point: z, and harmonics h >= 2 in turn in the
-    # other two, each from the one before (an in-place product is not always
-    # bitwise); until z is set they hold 2 pi x, its cos and its sin
-    rows = min(len(x), BASIS_WORKSPACE // (3 * 16))
-    work = np.empty((3, rows), dtype=complex)
+    rows = min(len(x), BASIS_WORKSPACE // 48)  # z and two harmonics, 16 bytes a point
+    z_buf = np.empty(rows, dtype=complex)
     sqrt2 = np.sqrt(2.0)
-
-    def views(r):
-        z = work[:, :r]
-        a, b = z[1].view(float), z[2].view(float)
-        return z, [(w.real, w.imag) for w in z], a[:r], a[r:], b[:r]
-
-    full = views(rows)
     for lo in range(0, len(x), rows):
-        r = min(rows, len(x) - lo)
-        z, parts, t, cos, sin = full if r == rows else views(r)
-        np.multiply(x[lo:lo + r], 2.0 * np.pi, t)
-        np.cos(t, cos)
-        np.sin(t, sin)
-        np.copyto(parts[0][0], cos)
-        np.copyto(parts[0][1], sin)
-        block = out[lo:lo + r]
-        row = 0
+        block = out[lo:lo + rows]
+        z = z_buf[:len(block)]
+        t = x[lo:lo + rows] * (2.0 * np.pi)
+        z.real = np.cos(t)
+        z.imag = np.sin(t)
+        del t
         for h in range(1, H + 1):
-            if h > 1:
-                prev, row = row, 1 + h % 2
-                np.multiply(z[prev], z[0], z[row])
+            # out of place: an in-place complex product is not always bitwise
+            w = z if h == 1 else w * z
             for c, part in columns[h]:
-                np.multiply(parts[row][part], sqrt2, block[:, c])
+                np.multiply(w.imag if part else w.real, sqrt2, block[:, c])
+        # so the next pass's temporaries reuse this memory, not fresh pages
+        del w
     return out
 
 

@@ -118,12 +118,13 @@ def rho_from_gram(G, slices, qstar) -> float:
         if len(c):
             subs.append(set(J))
             cols.append(c)
-            W.append(_inv_sqrt(G[np.ix_(c, c)], f"V_J for J={list(J)}"))
+            W.append(_inv_sqrt(G.take(c, axis=0).take(c, axis=1), f"V_J for J={list(J)}"))
     rho = 0.0
     for a, J1 in enumerate(subs):
         for b in range(a + 1, len(subs)):
             if J1.isdisjoint(subs[b]):
-                rho = max(rho, _whitened_cos(W[a], G[np.ix_(cols[a], cols[b])], W[b]))
+                cross = G.take(cols[a], axis=0).take(cols[b], axis=1)
+                rho = max(rho, _whitened_cos(W[a], cross, W[b]))
     return rho
 
 
@@ -213,7 +214,7 @@ def population_projection_gap(G, slices, J, coef):
     c = block_columns(slices, J)
     if len(c) == 0:
         return total
-    GJJ = G[np.ix_(c, c)]
+    GJJ = G.take(c, axis=0).take(c, axis=1)
     b = (G @ coef)[c]
     W = _inv_sqrt(GJJ, f"V_J for J={sorted(J)}")
     y = W @ b

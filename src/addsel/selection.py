@@ -180,6 +180,10 @@ def select_on_blocks(blocks: DesignBlocks, Y, spec: BasisSpec, qstar: int,
     blocks of ``build_design_blocks(X, spec)`` and the response Y at the same rows."""
     q = spec.q
     _check_exhaustive_budget(q, qstar)
+    widths = [spec.dim(j) for j in range(q)]
+    if blocks.dims() != widths or len(Y) != blocks.n:
+        raise AddselError(f"design blocks of widths {blocks.dims()} on {blocks.n} rows were "
+                          f"not built for the spec's widths {widths} and {len(Y)} rows of Y")
     scorer = _SubsetScorer(blocks, Y)
     crit = {}
     best = (0.0, ())

@@ -25,6 +25,14 @@ def test_eval_basis_domain_errors():
         eval_basis(2, -0.1)
 
 
+@pytest.mark.parametrize("ks", [[0], [-1], [2, 0]], ids=["zero", "negative", "zero-after-2"])
+def test_basis_matrix_refuses_indices_below_one(ks):
+    # phi_k is defined for k >= 1 only; k = 0 would leave its column unwritten
+    # and a negative k would read the sin of the highest harmonic
+    with pytest.raises(AddselError, match="basis index must be >= 1"):
+        basis_matrix(ks, np.linspace(0.0, 1.0, 7))
+
+
 def test_orthonormality_under_uniform():
     # the trig system is orthonormal in L2([0,1]); midpoint rule is exact
     # enough at 4096 nodes for indices up to 9
@@ -290,8 +298,9 @@ def _pass_rows():
 
 
 @pytest.mark.parametrize("n", ["zero", "one", "budget-1", "budget", "budget+1", "3 budget+7"])
-@pytest.mark.parametrize("ks", [np.arange(2, 8), np.arange(1, 40), [1], [9, 1, 2, 17, 3, 3, 40]],
-                         ids=["m7", "m39-with-phi1", "phi1-only", "permuted"])
+@pytest.mark.parametrize("ks", [np.arange(2, 8), np.arange(1, 40), [1], [9, 1, 2, 17, 3, 3, 40],
+                                [3, 2]],
+                         ids=["m7", "m39-with-phi1", "phi1-only", "permuted", "one-harmonic"])
 def test_basis_matrix_passes_equal_one_pass(n, ks):
     # the points go in passes of BASIS_WORKSPACE // 48 rows; every value takes
     # the same elementwise operations as in one pass, so the matrices are equal

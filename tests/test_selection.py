@@ -8,7 +8,7 @@ from addsel import (AddselError, BasisSpec, BudgetError, Dataset,
 from addsel import selection
 from addsel.basis import DesignBlocks, build_design_blocks
 from addsel.geometry import subsets_up_to
-from addsel.selection import CHOL_PIVOT_RATIO, _better, _SubsetScorer
+from addsel.selection import CHOL_PIVOT_RATIO, _better, _SubsetScorer, select_on_blocks
 
 
 def test_dataset_validation():
@@ -297,3 +297,16 @@ def test_select_on_blocks_memory_peak_is_the_gram():
     gram = design.full_gram().nbytes
     assert gram == 280 * 280 * 8 and design.A.nbytes == 800 * 280 * 8
     assert peak <= gram + (256 << 10)
+
+
+@pytest.mark.parametrize("case", ["wider-m", "other-q", "short-Y"])
+def test_select_on_blocks_refuses_a_design_not_built_for_spec(case):
+    # the penalty reads d_J from the spec and the norms from the blocks, so a
+    # design built at another m or q would shift every criterion silently
+    rng = np.random.default_rng(8)
+    X, Y = rng.random((60, 3)), rng.standard_normal(60)
+    spec = BasisSpec.create(3, 5)
+    design = build_design_blocks(X, spec)
+    other = {"wider-m": BasisSpec.create(3, 9), "other-q": BasisSpec.create(2, 5)}.get(case, spec)
+    with pytest.raises(AddselError, match="not built for the spec"):
+        select_on_blocks(design, Y[:59] if case == "short-Y" else Y, other, 1, 0.25)
