@@ -215,7 +215,10 @@ class DesignBlocks:
     @classmethod
     def from_matrix(cls, A, dims) -> "DesignBlocks":
         """The design whose blocks are A's consecutive column slices of the given
-        widths; A (C-contiguous, n x sum(dims)) is kept, not copied."""
+        widths; A (C-contiguous, n x sum(dims)) is kept, not copied.
+        AddselError unless A is 2-D with exactly sum(dims) columns."""
+        if np.ndim(A) != 2 or A.shape[1] != sum(dims):
+            raise AddselError(f"design matrix of shape {np.shape(A)} is not n x {sum(dims)}")
         design = cls.__new__(cls)
         design._adopt(A, dims)
         return design

@@ -7,12 +7,12 @@ from math import ceil, floor
 
 import numpy as np
 
-from .basis import BasisSpec, DesignBlocks, basis_matrix, build_design_blocks, \
-    check_unit_interval, marginal_quadrature, trig_series
+from .basis import BasisSpec, DesignBlocks, basis_matrix, check_unit_interval, \
+    marginal_quadrature, trig_series
 from .config import DEFAULTS, fixed_m
 from .densities import Density
 from .errors import AddselError, AssumptionError, ConfigError
-from .selection import RANK_RTOL, Dataset, select_exhaustive, select_on_blocks
+from .selection import RANK_RTOL, Dataset, select_on_blocks
 from .simulate import AdditiveModel, add_noise, density_from_config, model_from_config
 
 #: bootstrap resamples of the reps behind rate_experiment's slope band
@@ -43,18 +43,6 @@ def default_m_target(n_half: int, alpha: float) -> int:
     return max(1, int(ceil(n_half ** (1.0 / (2.0 * alpha + 1.0)))))
 
 
-def _half_and_level(n2: int, spec: BasisSpec, target: int, m_target, alpha):
-    """(n, m_target): the half-sample size of 2n rows and the target's level, by
-    default_m_target unless given; AddselError for an odd sample or a target
-    outside the q covariates."""
-    if n2 < 2 or n2 % 2:
-        raise AddselError(f"split-sample estimation needs an even sample size, got {n2}")
-    if not 0 <= target < spec.q:
-        raise AddselError(f"target covariate {target} out of range for q={spec.q}")
-    n = n2 // 2
-    return n, default_m_target(n, alpha) if m_target is None else m_target
-
-
 def _refit(blocks: dict, Y2, target: int) -> np.ndarray:
     """The target's coefficients in one least-squares fit of Y2 / sqrt(n) on the
     second-half blocks of J_fit (covariate -> scaled block, ascending).
@@ -74,65 +62,51 @@ def _refit(blocks: dict, Y2, target: int) -> np.ndarray:
     return coef[start:start + blocks[target].shape[1]]
 
 
-def estimate_component(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: float,
-                       target: int, m_target: int | None = None,
-                       alpha: float = 2.0) -> ComponentEstimate:
-    """Select on the first half, refit by least squares on the second half.
+def _split_sample_fit(X, known: dict, response, spec: BasisSpec, qstar: int,
+                      sigma2: float, target: int, m_target: int | None,
+                      alpha: float) -> ComponentEstimate:
+    """Select on the first n of the 2n rows of X, refit the target on the other n.
 
-    The target covariate is always included in the refit set, at its own
-    (typically finer) truncation level m_target.
+    ``known`` maps covariates to the coefficients of the response's known
+    components (``theta[i]`` multiplies phi_{i+2}), and ``response(f)`` makes
+    Y from their sum f at the 2n rows. Each covariate gets one unscaled
+    basis_matrix table, on all 2n rows for the known covariates and the target
+    and on the first n rows for the others, as wide as f, the selection and
+    the refit need. f, the first-half blocks (written into one first-half
+    design matrix) and the second-half refit blocks are its slices: a row
+    slice or a column prefix of basis_matrix(ks, x) is basis_matrix on that
+    slice or prefix, bitwise. Only a selected covariate that is neither known
+    nor the target is evaluated again, on the second half.
     """
-    n, m_target = _half_and_level(dataset.n, spec, target, m_target, alpha)
-    first = Dataset(dataset.X[:n], dataset.Y[:n])
-    result = select_exhaustive(first, spec, qstar, sigma2)
-    J_fit = sorted(set(result.chosen) | {target})
-
-    # m_j = 1 outside J_fit: those covariates get blocks without columns
-    m_fit = [spec.m[j] if j in J_fit else 1 for j in range(spec.q)]
-    m_fit[target] = max(m_target, 2)
-    design = build_design_blocks(dataset.X[n:], BasisSpec.create(spec.q, m_fit))
-    theta = _refit({j: design.blocks[j] for j in J_fit}, dataset.Y[n:], target)
-    return ComponentEstimate(target=target, coefficients=np.asarray(theta, dtype=float),
-                             selected=result.chosen, m_target=m_target, n_half=n)
-
-
-def _simulated_estimate(model: AdditiveModel, X, rng, spec: BasisSpec, qstar: int,
-                        sigma2: float, target: int, m_target: int | None,
-                        alpha: float) -> ComponentEstimate:
-    """``estimate_component(Dataset(X, gen_response(model, X, rng)), ...)`` bit for
-    bit, with each covariate's harmonics evaluated once.
-
-    Each covariate gets one unscaled basis_matrix table, on all 2n rows for the
-    active covariates and the target and on the first n rows for the others, as
-    wide as the response, the selection and the refit need. The response, the
-    first-half blocks (written into one first-half design matrix) and the
-    second-half refit blocks are its slices, through
-    the reference path's operations in its order: a row slice or a column
-    prefix of basis_matrix(ks, x) is basis_matrix on that slice or prefix,
-    bitwise. Only a selected covariate that is neither active nor the target
-    is evaluated again, on the second half.
-    """
-    n, m_target = _half_and_level(len(X), spec, target, m_target, alpha)
+    n2 = len(X)
+    if n2 < 2 or n2 % 2:
+        raise AddselError(f"split-sample estimation needs an even sample size, got {n2}")
+    if not 0 <= target < spec.q:
+        raise AddselError(f"target covariate {target} out of range for q={spec.q}")
+    if X.shape[1] != spec.q:
+        raise AddselError(f"design matrix must be n x {spec.q}")
     check_unit_interval(X)
+    n = n2 // 2
+    m_target = default_m_target(n, alpha) if m_target is None else m_target
     scale = np.sqrt(n)
-    m_fit = {j: spec.m[j] for j in model.J0}
+    m_fit = {j: spec.m[j] for j in known}
     m_fit[target] = max(m_target, 2)
-    f = np.zeros(2 * n)
+    f = np.zeros(n2)
     dims = [spec.dim(j) for j in range(spec.q)]
     first = DesignBlocks.from_matrix(np.empty((n, sum(dims))), dims)
     second = {}
     for j in range(spec.q):
-        theta_j = model.theta[j] if j in model.J0 else ()
+        theta_j = known.get(j, ())
         width = max(spec.m[j], len(theta_j) + 1, m_fit.get(j, 1))
         table = basis_matrix(np.arange(2, width + 1), X[:, j] if j in m_fit else X[:n, j])
-        if j in model.J0:
+        if j in known:
             # gen_response's product: a contiguous (2n, len(theta_j)) matrix
             f += np.ascontiguousarray(table[:, :len(theta_j)]) @ theta_j
         np.divide(table[:n, :dims[j]], scale, out=first.blocks[j])
         if j in m_fit:
             second[j] = table[n:, :m_fit[j] - 1] / scale
         del table
-    Y = add_noise(model, f, rng)
+    Y = response(f)
     Dataset(X, Y)  # refuses non-finite entries
     result = select_on_blocks(first, Y[:n], spec, qstar, sigma2)
     del first
@@ -142,6 +116,28 @@ def _simulated_estimate(model: AdditiveModel, X, rng, spec: BasisSpec, qstar: in
     theta = _refit(blocks, Y[n:], target)
     return ComponentEstimate(target=target, coefficients=np.asarray(theta, dtype=float),
                              selected=result.chosen, m_target=m_target, n_half=n)
+
+
+def estimate_component(dataset: Dataset, spec: BasisSpec, qstar: int, sigma2: float,
+                       target: int, m_target: int | None = None,
+                       alpha: float = 2.0) -> ComponentEstimate:
+    """Select on the first half, refit by least squares on the second half.
+
+    The target covariate is always included in the refit set, at its own
+    (typically finer) truncation level m_target.
+    """
+    return _split_sample_fit(dataset.X, {}, lambda f: dataset.Y, spec, qstar, sigma2,
+                             target, m_target, alpha)
+
+
+def _simulated_estimate(model: AdditiveModel, X, rng, spec: BasisSpec, qstar: int,
+                        sigma2: float, target: int, m_target: int | None,
+                        alpha: float) -> ComponentEstimate:
+    """``estimate_component(Dataset(X, gen_response(model, X, rng)), ...)`` bit for
+    bit: the fit with the model's components known and its noise added."""
+    return _split_sample_fit(X, {j: model.theta[j] for j in model.J0},
+                             lambda f: add_noise(model, f, rng), spec, qstar, sigma2,
+                             target, m_target, alpha)
 
 
 def component_risk(model: AdditiveModel, estimate: ComponentEstimate,

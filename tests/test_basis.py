@@ -380,3 +380,13 @@ def test_design_blocks_are_views_of_one_matrix():
     listed = DesignBlocks(blocks)
     assert np.array_equal(listed.A, design.A) and listed.dims() == design.dims()
     assert all(B.base is listed.A for B in listed.blocks)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (5, 3), (4,), (2, 5, 4)])
+def test_from_matrix_refuses_a_matrix_not_as_wide_as_its_blocks(shape):
+    # a wider A would give full_gram() columns no block owns, a narrower one a
+    # short last block
+    from addsel.basis import DesignBlocks
+    with pytest.raises(AddselError, match=r"^design matrix of shape .* is not n x 4$"):
+        DesignBlocks.from_matrix(np.ones(shape), [2, 2])
+    assert DesignBlocks.from_matrix(np.ones((5, 4)), [2, 2]).full_gram().shape == (4, 4)

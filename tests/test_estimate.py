@@ -171,38 +171,56 @@ def _tilted_on(j):
     return TableDensity(tables={j: 1.0 + 0.8 * np.cos(2 * np.pi * (np.arange(256) + 0.5) / 256)})
 
 
-@pytest.mark.parametrize("law", ["uniform", "table"])
+@pytest.mark.parametrize("law", ["uniform", "copula", "table"])
 def test_estimate_component_refits_only_J_fit_bitwise(law, monkeypatch):
-    # giving the covariates outside J_fit m_j = 1 changes no bit of the fit,
-    # and evaluates no harmonic of theirs on the second half
-    from addsel import basis
+    # the fit equals the padded second-half design of _reference_estimate bit
+    # for bit, and evaluates no harmonic of covariates outside J_fit on the
+    # second half
+    from addsel import estimate
     model = gen_model(q=6, s=2, alpha=2.0, Kbound=40.0, kappa1_target=1.0, seed=3,
                       sigma=0.3)
     target = model.J0[0]
-    density = UniformDensity() if law == "uniform" else \
-        _tilted_on(next(j for j in range(6) if j != target))
+    density = {"uniform": UniformDensity(), "copula": GaussianCopulaDensity(r=0.3),
+               "table": _tilted_on(next(j for j in range(6) if j != target))}[law]
     rng = np.random.default_rng(4)
     X = density.sample(600, 6, rng)
     ds = Dataset(X, gen_response(model, X, rng))
     spec = BasisSpec.create(6, 5)
     coef, chosen = _reference_estimate(ds, spec, 2, 0.09, target, 7)
-    columns = []
-    original = basis.basis_matrix
-    monkeypatch.setattr(basis, "basis_matrix",
-                        lambda ks, x, **kw: columns.append(len(ks)) or original(ks, x, **kw))
+    calls = []
+    original = estimate.basis_matrix
+    monkeypatch.setattr(estimate, "basis_matrix",
+                        lambda ks, x: calls.append((len(ks), len(x))) or original(ks, x))
     est = estimate_component(ds, spec, 2, 0.09, target, m_target=7)
     assert est.selected == chosen
     assert np.array_equal(est.coefficients, coef)
     J_fit = sorted(set(chosen) | {target})
     assert len(J_fit) < spec.q
-    # the first-half selection evaluates all q blocks, the refit only J_fit's
-    assert columns == [4] * spec.q + [6 if j == target else 4 if j in J_fit else 0
-                                      for j in range(spec.q)]
+    # one table per covariate, the target's on all 600 rows and wide enough for
+    # m_target = 7, the others on the first half; then one second-half block
+    # per selected covariate that is not the target
+    assert calls == [(6, 600) if j == target else (4, 300) for j in range(spec.q)] + \
+        [(4, 300) for j in chosen if j != target]
     # second-half entries outside [0,1] are refused on covariates outside J_fit too
     bad = X.copy()
     bad[-1, next(j for j in range(6) if j not in J_fit)] = 1.5
     with pytest.raises(AddselError, match=r"\[0,1\]"):
         estimate_component(Dataset(bad, ds.Y), spec, 2, 0.09, target, m_target=7)
+
+
+def test_estimate_component_refuses_a_design_without_q_columns():
+    model, ds = _setup()
+    X = np.column_stack([ds.X, ds.X[:, 0]])
+    with pytest.raises(AddselError, match="^design matrix must be n x 4$"):
+        estimate_component(Dataset(X, ds.Y), BasisSpec.create(4, 5), 2, 0.04, 0)
+
+
+@pytest.mark.parametrize("target", [-1, 4])
+def test_estimate_component_refuses_a_target_outside_q(target):
+    model, ds = _setup()
+    with pytest.raises(AddselError,
+                       match=f"^target covariate {target} out of range for q=4$"):
+        estimate_component(ds, BasisSpec.create(4, 5), 2, 0.04, target)
 
 
 def test_percentiles_equal_numpy_bitwise():
@@ -336,12 +354,12 @@ def test_simulated_estimate_evaluates_each_covariate_once(monkeypatch):
     target = model.J0[0]
     spec = BasisSpec.create(6, 5)
     args = (spec, 3, 0.0, target, 9, 2.0)
+    want = _reference_fit(model, X, np.random.default_rng(9), *args)
     calls = []
     original = estimate.basis_matrix
     monkeypatch.setattr(estimate, "basis_matrix",
                         lambda ks, x: calls.append((len(ks), len(x))) or original(ks, x))
     got = _simulated_estimate(model, X, np.random.default_rng(9), *args)
-    want = _reference_fit(model, X, np.random.default_rng(9), *args)
     assert got.selected == want.selected
     assert np.array_equal(got.coefficients, want.coefficients)
     extra = [j for j in got.selected if j not in model.J0 and j != target]

@@ -7,9 +7,9 @@ import pytest
 
 from addsel import (AssumptionError, BasisSpec, BudgetError, Dataset, Density,
                     GaussianCopulaDensity, PopulationGeometry, TableDensity, UniformDensity,
-                    check_ric_chain, geometry_report, kappa_values, min_angle_cos, phi_2qstar,
-                    population_gram, rip_constant, select_exhaustive, sup_norm_ratio,
-                    verify_angle_equivalence)
+                    check_ric_chain, estimate_component, geometry_report, kappa_values,
+                    min_angle_cos, phi_2qstar, population_gram, rip_constant,
+                    select_exhaustive, sup_norm_ratio, verify_angle_equivalence)
 from addsel import geometry
 from addsel.geometry import (_inv_sqrt, count_disjoint_pairs, count_subsets_up_to,
                              epsilons_from_gram, population_projection_gap,
@@ -560,6 +560,10 @@ _X4 = np.random.default_rng(0).random((10, 4))
     pytest.param(lambda: select_exhaustive(Dataset(_X4, _X4[:, 0]), _SPEC4, 1, 0.0), 5,
                  "exhaustive search over 5 subsets exceeds the budget 2; consider "
                  "select_greedy", id="exhaustive"),
+    # the split-sample fit selects on its first 5 rows with the same search
+    pytest.param(lambda: estimate_component(Dataset(_X4, _X4[:, 0]), _SPEC4, 1, 0.0, 0), 5,
+                 "exhaustive search over 5 subsets exceeds the budget 2; consider "
+                 "select_greedy", id="estimate_component"),
 ])
 def test_every_enumeration_checks_the_one_budget(monkeypatch, run, count, message):
     # one patch of geometry.SUBSET_BUDGET reaches geometry, diagnostics and selection
